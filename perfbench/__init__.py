@@ -1,0 +1,6 @@
+"""Benchmark of the gresolv package: oracle-checked workloads and traced runs.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``BENCHMARK.json`` lists the
+workloads and metrics.
+"""

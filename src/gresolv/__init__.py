@@ -5,8 +5,8 @@ against a direct dilation oracle."""
 
 from .errors import (FixedPointObstruction, GresolvError, InternalDisagreement,
                      KindMismatch, NotAdmissible, NotContraction, NotRegularType,
-                     PointExcluded, PreconditionViolated, Singular, SingularSystem,
-                     T22NotAdmissible)
+                     NumericalFailure, PointExcluded, PreconditionViolated, Singular,
+                     SingularSystem, T22NotAdmissible)
 from .numkernel import (CMatrix, DEFAULT_TOL, Subspace, TolPolicy, eig_normal,
                         intersect, orthogonal_complement, orthonormalize,
                         projector, solve)

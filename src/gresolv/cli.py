@@ -8,6 +8,7 @@ are encoded as two-element [re, im] arrays so fixtures stay portable.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass, field
@@ -20,15 +21,15 @@ from .errors import GresolvError, NotRegularType, PreconditionViolated
 from .extensions import (block_param_from_map, build_admissible_isometry,
                          exit_frames, ExitSpaceModel, PartialMap,
                          exit_space_extension, unitary_exit_extension)
-from .numkernel import CMatrix, Subspace, TolPolicy
-from .operators import (INFINITY, IsometryOp, SymmetricOp, cayley_transform,
-                        defect_subspaces)
+from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
+from .operators import IsometryOp, SymmetricOp, cayley_transform, parameter_frames
 from .resolvents import (ContractionParam, RaySpec, ResolventModel,
                          DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES,
                          cayley_transfer, direct_sum_resolvent, defect_block_family,
                          boundary_parameter, recovered_parameter_family,
                          extension_resolvent, verify_resolvent_axioms)
-from .spectral import ArcSpec, gap_report, spectral_measure, verify_integral_representation
+from .spectral import (ArcSpec, gap_report, in_space_atoms, spectral_measure,
+                       verify_integral_representation)
 
 SCHEMA_VERSION = 1
 
@@ -45,21 +46,25 @@ def _c_to_json(value: complex) -> list:
     return [float(np.real(value)), float(np.imag(value))]
 
 
-def _c_from_json(value) -> complex:
+def _c_from_json(value, field: str = "value") -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ParseError(f"expected [re, im], got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+        raise ParseError(f"{field}: expected [re, im], got {value!r}")
+    z = complex(float(value[0]), float(value[1]))
+    if not cmath.isfinite(z):
+        raise ParseError(f"{field}: non-finite entry {value!r}")
+    return z
 
 
 def _m_to_json(mat: CMatrix) -> list:
     return [[_c_to_json(mat[i, j]) for j in range(mat.shape[1])] for i in range(mat.shape[0])]
 
 
-def _m_from_json(rows, shape_hint=None) -> CMatrix:
+def _m_from_json(rows, shape_hint=None, field: str = "matrix") -> CMatrix:
     try:
-        data = [[_c_from_json(cell) for cell in row] for row in rows]
-    except (TypeError, ParseError) as exc:
-        raise ParseError(f"bad matrix encoding: {exc}") from exc
+        data = [[_c_from_json(cell, f"{field}[{i}][{j}]") for j, cell in enumerate(row)]
+                for i, row in enumerate(rows)]
+    except TypeError as exc:
+        raise ParseError(f"bad {field} encoding: {exc}") from exc
     if not data:
         if shape_hint is None:
             raise ParseError("empty matrix needs a shape hint")
@@ -90,32 +95,31 @@ class InstanceFile:
             return SymmetricOp(self.ambient_dim, sub, self.action_or_range)
         raise ParseError(f"unknown instance kind {self.kind!r}")
 
-    def model(self) -> ExitSpaceModel | None:
+    def model(self, tol: TolPolicy = DEFAULT_TOL) -> ExitSpaceModel | None:
         if self.exit_block is None:
             return None
         op = self.operator()
         if self.kind == "isometric":
-            return unitary_exit_extension(op, self.exit_dim, w_block=self.exit_block)
-        frames = exit_frames(op, SymmetricOp.null(self.exit_dim), self.anchor)
+            return unitary_exit_extension(op, self.exit_dim, w_block=self.exit_block, tol=tol)
+        frames = exit_frames(op, SymmetricOp.null(self.exit_dim), self.anchor, tol)
         tmap = PartialMap.from_coords(frames.src, frames.dst, self.exit_block)
         block = block_param_from_map(tmap, frames, isometry=True)
-        return exit_space_extension(op, self.exit_dim, self.anchor, block)
+        return exit_space_extension(op, self.exit_dim, self.anchor, block, tol=tol)
 
-    def parameter_family(self) -> ContractionParam | None:
+    def parameter_anchor(self) -> complex:
+        """Anchor of the parameter block: z0 in the disk (0 when not given) on
+        the isometric side, the exit anchor on the symmetric side."""
+        if self.kind == "symmetric":
+            return self.anchor
+        return _c_from_json((self.parameter or {}).get("z0", [0.0, 0.0]), "parameter.z0")
+
+    def parameter_family(self, tol: TolPolicy = DEFAULT_TOL) -> ContractionParam | None:
         if self.parameter is None:
             return None
-        op = self.operator()
         par = self.parameter
-        if self.kind == "isometric":
-            z0 = _c_from_json(par.get("z0", [0.0, 0.0]))
-            src = defect_subspaces(op, z0).n_space
-            dst_pt = INFINITY if z0 == 0 else 1.0 / np.conj(z0)
-            dst = defect_subspaces(op, dst_pt).n_space
-            anchor = None
-        else:
-            src = defect_subspaces(op, self.anchor).n_space
-            dst = defect_subspaces(op, np.conj(self.anchor)).n_space
-            anchor = self.anchor
+        src, dst = (pair.n_space for pair in
+                    parameter_frames(self.operator(), self.parameter_anchor(), tol))
+        anchor = self.anchor if self.kind == "symmetric" else None
         hint = (dst.dim, src.dim)
         if par["form"] == "constant":
             return ContractionParam.constant(src, dst,
@@ -124,11 +128,6 @@ class InstanceFile:
             return ContractionParam.affine(src, dst, _m_from_json(par["k0"], hint),
                                            _m_from_json(par["k1"], hint), anchor)
         raise ParseError(f"unknown parameter form {par['form']!r}")
-
-    def parameter_anchor_z0(self) -> complex:
-        if self.parameter is None or self.kind != "isometric":
-            return 0.0
-        return _c_from_json(self.parameter.get("z0", [0.0, 0.0]))
 
     def to_json(self) -> dict:
         n, d = self.ambient_dim, self.domain_basis.shape[1]
@@ -159,17 +158,23 @@ class InstanceFile:
                 raise ParseError(f"unsupported schema version {obj.get('schema_version')!r}")
             n = int(obj["ambient_dim"])
             d = int(obj["domain_dim"])
-            dom = _m_from_json(obj["domain_basis"], shape_hint=(n, d))
-            act = _m_from_json(obj["action_or_range"], shape_hint=(n, d))
+            dom = _m_from_json(obj["domain_basis"], (n, d), "domain_basis")
+            act = _m_from_json(obj["action_or_range"], (n, d), "action_or_range")
             exit_obj = obj.get("exit")
             kwargs = {}
             if exit_obj is not None:
                 m = int(exit_obj["dim"])
                 defect = (n - d) + m
                 kwargs["exit_dim"] = m
-                kwargs["exit_block"] = _m_from_json(exit_obj["block"],
-                                                    shape_hint=(defect, defect))
-                kwargs["anchor"] = _c_from_json(exit_obj["anchor"])
+                kwargs["exit_block"] = _m_from_json(exit_obj["block"], (defect, defect),
+                                                    "exit.block")
+                kwargs["anchor"] = _c_from_json(exit_obj["anchor"], "exit.anchor")
+            # the parameter block is kept raw and decoded on use; check it now
+            par = obj.get("parameter") or {}
+            for key in ("value", "k0", "k1"):
+                if key in par:
+                    _m_from_json(par[key], (0, 0), f"parameter.{key}")
+            _c_from_json(par.get("z0", [0.0, 0.0]), "parameter.z0")
             return cls(kind=obj["kind"], ambient_dim=n, domain_basis=dom,
                        action_or_range=act, parameter=obj.get("parameter"),
                        seed=int(obj.get("seed", 0)), **kwargs)
@@ -276,11 +281,9 @@ def generate_instance(kind: str, n: int, d: int, m: int, seed: int) -> InstanceF
         tmap = build_admissible_isometry(frames.coupled, anchor, frames.src, frames.dst, sub_seed)
         block_coords = frames.dst.basis.conj().T @ tmap.ambient() @ frames.src.basis
         param_seed = int(rng.integers(0, 2**63 - 1))
-        pmap = build_admissible_isometry(op, anchor, defect_subspaces(op, anchor).n_space,
-                                         defect_subspaces(op, np.conj(anchor)).n_space,
-                                         param_seed)
-        pm_coords = defect_subspaces(op, np.conj(anchor)).n_space.basis.conj().T @ pmap.ambient() \
-            @ defect_subspaces(op, anchor).n_space.basis
+        src, dst = (pair.n_space for pair in parameter_frames(op, anchor))
+        pmap = build_admissible_isometry(op, anchor, src, dst, param_seed)
+        pm_coords = dst.basis.conj().T @ pmap.ambient() @ src.basis
         param = {"form": "constant", "value": _m_to_json(pm_coords)}
         inst = InstanceFile("symmetric", n, op.dom.basis, op.action, m, block_coords,
                             anchor, param, seed)
@@ -290,7 +293,7 @@ def generate_instance(kind: str, n: int, d: int, m: int, seed: int) -> InstanceF
 
 
 def _resolvent_model(inst: InstanceFile, tol: TolPolicy) -> ResolventModel:
-    model = inst.model()
+    model = inst.model(tol)
     if model is None:
         raise ParseError("instance carries no exit block, so no resolvent is defined")
     return ResolventModel.from_dilation(model, tol)
@@ -357,46 +360,32 @@ def _suite_oracle(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
         worst = max(worst, nk.op_norm(
             extension_resolvent(op, family, inst.anchor, lam, tol, validate=False) - r(lam)))
     report.add("extension-formula-vs-dilation", worst <= 1e-9, worst, "oracle-equivalence")
-    atoms = spectral_measure(inst.model(), tol)
+    atoms = spectral_measure(inst.model(tol), tol)
     res = verify_integral_representation(atoms, r, DEFAULT_HALFPLANE_SAMPLES)
     report.add("atomic-integral-representation", res <= 1e-10, res, "oracle-equivalence")
 
 
 def _suite_gap(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
-    param = inst.parameter_family()
+    param = inst.parameter_family(tol)
     if param is None:
         report.add("gap-parameter-present", False, np.inf, "gap-criteria")
         return
     op = inst.operator()
-    if inst.kind == "isometric":
-        from .operators import orthogonal_extension
-        value = param.form[1]
-        ext = orthogonal_extension(op, value, inst.parameter_anchor_z0(), tol)
-        model = ExitSpaceModel(inst.ambient_dim, 0, "unitary", ext.matrix, op)
-        atoms = spectral_measure(model, tol)
-        locs = sorted(loc for loc, _ in atoms.atoms)
-        kind = "circle"
-        wrap = 2 * np.pi
-    else:
-        src = defect_subspaces(op, inst.anchor, tol).n_space
-        dst = defect_subspaces(op, np.conj(inst.anchor), tol).n_space
-        from .extensions import neumann_extension
-        tmap = PartialMap.from_coords(src, dst, param.form[1])
-        ext, _ = neumann_extension(op, inst.anchor, tmap, tol)
-        model = ExitSpaceModel(inst.ambient_dim, 0, "hermitian", ext.full_matrix(), op)
-        atoms = spectral_measure(model, tol)
-        locs = sorted(loc for loc, _ in atoms.atoms)
-        kind = "line"
-        wrap = None
+    anchor = inst.parameter_anchor()
+    atoms = in_space_atoms(op, param, anchor, tol)
+    if atoms is None:
+        raise PreconditionViolated("gap checks need a unitary parameter with an in-space extension")
+    locs = [loc for loc, _ in atoms.atoms]  # increasing
+    kind = atoms.kind
+    wrap = 2 * np.pi if kind == "circle" else None
     # widest atom-free region: expect an analytic verdict there
     if len(locs) == 1:
-        gaps = [(locs[0] + 0.5, locs[0] + 1.5)] if wrap is None else \
-            [(locs[0] + 0.1, locs[0] + wrap - 0.1)]
+        lo, hi = (locs[0] + 0.5, locs[0] + 1.5) if wrap is None else \
+            (locs[0] + 0.1, locs[0] + wrap - 0.1)
     else:
         spans = list(zip(locs, locs[1:] + ([locs[0] + wrap] if wrap else [locs[-1] + 2.0])))
         lo, hi = max(spans, key=lambda ab: ab[1] - ab[0])
-        gaps = [(lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))]
-    lo, hi = gaps[0]
+        lo, hi = lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo)
     if wrap is not None and hi >= wrap:
         # keep the probe arc inside one chart
         if lo >= wrap:
@@ -404,22 +393,17 @@ def _suite_gap(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
         else:
             hi = wrap - 1e-6
     region_free = ArcSpec(kind, float(lo), float(hi))
-    rep_free = gap_report(op, param, inst.parameter_anchor_z0() if kind == "circle" else inst.anchor,
-                          region_free, 32, tol)
+    rep_free = gap_report(op, param, anchor, region_free, 32, tol)
     report.add("gap-verdict-on-atom-free-region", rep_free.analytic,
                rep_free.refined_min_margin, "gap-criteria")
     # a region containing the first atom: expect an obstruction, either a
     # vanishing margin or a failed regular-type / covering hypothesis
-    loc = locs[0]
-    width = 0.2 if kind == "line" else min(0.2, (wrap - 1e-3) / 4)
-    lo2, hi2 = loc - width, loc + width
+    lo2, hi2 = locs[0] - 0.2, locs[0] + 0.2
     if kind == "circle":
         lo2, hi2 = max(lo2, 0.0), min(hi2, wrap - 1e-9)
     region_atom = ArcSpec(kind, float(lo2), float(hi2))
     try:
-        rep_atom = gap_report(op, param,
-                              inst.parameter_anchor_z0() if kind == "circle" else inst.anchor,
-                              region_atom, 32, tol)
+        rep_atom = gap_report(op, param, anchor, region_atom, 32, tol)
         obstructed, margin = not rep_atom.analytic, rep_atom.refined_min_margin
     except (NotRegularType, PreconditionViolated):
         obstructed, margin = True, 0.0
@@ -430,7 +414,7 @@ def _suite_limits(inst: InstanceFile, tol: TolPolicy, report: Report, epsilon: f
     if inst.kind != "symmetric":
         report.add("limits-not-applicable-isometric", True, 0.0, "boundary-limits")
         return
-    model = inst.model()
+    model = inst.model(tol)
     if model is None:
         report.add("limits-model-present", False, np.inf, "boundary-limits")
         return
@@ -503,7 +487,7 @@ def cmd_resolvent(args) -> int:
 def cmd_spectrum(args) -> int:
     inst = load_instance(args.instance)
     tol = _tol_from_args(args)
-    model = inst.model()
+    model = inst.model(tol)
     if model is None:
         raise ParseError("instance carries no exit block, so no spectral measure is defined")
     atoms = spectral_measure(model, tol)
@@ -521,13 +505,12 @@ def cmd_gap(args) -> int:
     inst = load_instance(args.instance)
     tol = _tol_from_args(args)
     op = inst.operator()
-    param = inst.parameter_family()
+    param = inst.parameter_family(tol)
     if param is None:
         raise ParseError("gap reports need a parameter block in the instance")
     kind = "circle" if inst.kind == "isometric" else "line"
     region = ArcSpec(kind, args.region[0], args.region[1])
-    anchor = inst.parameter_anchor_z0() if kind == "circle" else inst.anchor
-    report = gap_report(op, param, anchor, region, args.grid, tol)
+    report = gap_report(op, param, inst.parameter_anchor(), region, args.grid, tol)
     lines = [f"# gap report on {kind} region ({region.lo}, {region.hi})",
              f"verdict: {'analytic' if report.analytic else 'not analytic'}",
              f"refined min margin: {report.refined_min_margin:.6e}"]

@@ -76,3 +76,11 @@ class PointExcluded(GresolvError):
 
 class PreconditionViolated(GresolvError):
     """A necessary side condition of a criterion fails on the requested region."""
+
+
+class NumericalFailure(GresolvError, ArithmeticError):
+    """An internal cross-check or identity failed beyond its numerical gate.
+
+    Subclasses the builtin ``ArithmeticError`` so callers that catch it keep
+    working.
+    """

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import (InternalDisagreement, NotAdmissible, NotContraction,
-                     T22NotAdmissible)
+                     NumericalFailure, T22NotAdmissible)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
-from .operators import (INFINITY, IsometryOp, PartialOperator, SymmetricOp,
-                        cayley_transform, defect_subspaces)
+from .operators import (IsometryOp, PartialOperator, SymmetricOp, cayley_transform,
+                        defect_subspaces, parameter_frames)
 
 
 @dataclass(frozen=True)
@@ -159,17 +159,16 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
     ortho = nk.orthogonal_complement(a.dom, tol)
     if ortho.dim == 0:
         return PartialMap.empty(n)
-    p_src = nk.projector(defect_subspaces(a, z, tol).n_space)
-    p_dst = nk.projector(defect_subspaces(a, np.conj(z), tol).n_space)
+    p_src, p_dst = (nk.projector(pair.n_space) for pair in parameter_frames(a, z, tol))
     shadow = p_src @ ortho.basis
     src = nk.orthonormalize(shadow, tol)
     if src.dim != ortho.dim:
-        raise ArithmeticError("projection of the domain complement lost rank")
+        raise NumericalFailure("projection of the domain complement lost rank")
     lift, *_ = np.linalg.lstsq(shadow, src.basis, rcond=None)
     matrix = p_dst @ ortho.basis @ lift
     gram = matrix.conj().T @ matrix
     if nk.op_norm(gram - np.eye(src.dim)) > 1e-10:
-        raise ArithmeticError("forbidden operator failed its isometry check")
+        raise NumericalFailure("forbidden operator failed its isometry check")
     return PartialMap(src, n, matrix)
 
 
@@ -187,7 +186,7 @@ def forbidden_lift(a: SymmetricOp, z: complex, x: PartialMap,
     coords, *_ = np.linalg.lstsq(a.dom.basis, diff, rcond=None)
     scale = max(1.0, float(np.linalg.norm(diff)))
     if float(np.linalg.norm(a.dom.basis @ coords - diff)) > 1e-8 * scale:
-        raise ArithmeticError("pair is not comparable modulo the domain")
+        raise NumericalFailure("pair is not comparable modulo the domain")
     return (a.action @ coords - np.conj(z) * psi + z * phi) / (z - np.conj(z))
 
 
@@ -246,8 +245,7 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
     if z.imag == 0:
         raise ValueError("the anchor must be non-real")
     n = a.ambient_dim
-    pair_z = defect_subspaces(a, z, tol)
-    pair_zbar = defect_subspaces(a, np.conj(z), tol)
+    pair_z, pair_zbar = parameter_frames(a, z, tol)
     if t.dim:
         off_src = nk.op_norm((np.eye(n) - nk.projector(pair_z.n_space)) @ t.src.basis)
         off_dst = nk.op_norm((np.eye(n) - nk.projector(pair_zbar.n_space)) @ t.matrix)
@@ -266,7 +264,7 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
     else:
         q = nk.orthonormalize(raw_dom, tol)
         if q.dim != raw_dom.shape[1]:
-            raise ArithmeticError("extension domain sum is not direct")
+            raise NumericalFailure("extension domain sum is not direct")
         coeff = q.basis.conj().T @ raw_dom
         ext = PartialOperator(n, q, raw_img @ nk.inv(coeff, tol))
 
@@ -315,7 +313,7 @@ def neumann_parameter(b: PartialOperator, a: SymmetricOp, z: complex,
         return PartialMap.empty(n)
     sol, *_ = np.linalg.lstsq(shifted, src.basis, rcond=None)
     if nk.op_norm(shifted @ sol - src.basis) > 1e-8:
-        raise ArithmeticError("defect vectors do not lie in the shifted range")
+        raise NumericalFailure("defect vectors do not lie in the shifted range")
     return PartialMap(src, n, (b.action - np.conj(z) * b.dom.basis) @ sol)
 
 
@@ -375,15 +373,15 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
     rem_src = nk.orthonormalize((eye - nk.projector(core)) @ n_src.basis, tol)
     rem_dst = nk.orthonormalize((eye - nk.projector(ran_s)) @ n_dst.basis, tol)
     if rem_src.dim != rem_dst.dim:
-        raise ArithmeticError("left-over defect directions do not balance")
+        raise NumericalFailure("left-over defect directions do not balance")
     completion = rem_dst.basis @ nk.haar_unitary(rem_src.dim, rng)
 
     src = Subspace(n, np.hstack([core.basis, rem_src.basis]))
     result = PartialMap(src, n, np.hstack([corrected, completion]))
     if not result.is_isometric(1e-10):
-        raise ArithmeticError("constructed map lost its isometry")
+        raise NumericalFailure("constructed map lost its isometry")
     if not is_admissible(a, z, result, tol):
-        raise ArithmeticError("constructed map failed the admissibility check")
+        raise NumericalFailure("constructed map failed the admissibility check")
     return result
 
 
@@ -422,10 +420,8 @@ def exit_frames(a: SymmetricOp, exit_op: SymmetricOp, z: complex,
     n, m = a.ambient_dim, exit_op.ambient_dim
     nm = n + m
     coupled = direct_sum(a, exit_op)
-    nz_a = defect_subspaces(a, z, tol).n_space
-    nz_e = defect_subspaces(exit_op, z, tol).n_space
-    nzb_a = defect_subspaces(a, np.conj(z), tol).n_space
-    nzb_e = defect_subspaces(exit_op, np.conj(z), tol).n_space
+    nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z, tol))
+    nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z, tol))
     return ExitFrames(
         coupled, exit_op,
         Subspace(nm, embed_inner(nz_a.basis, m)), Subspace(nm, embed_exit(nz_e.basis, n)),
@@ -470,8 +466,7 @@ def compressed_parameter(a: SymmetricOp, exit_dim: int, z: complex,
     if exit_op.ambient_dim != exit_dim:
         raise ValueError("exit operator dimension mismatch")
     x_e = forbidden_operator(exit_op, z, tol)
-    nz_e = defect_subspaces(exit_op, z, tol).n_space
-    nzb_e = defect_subspaces(exit_op, np.conj(z), tol).n_space
+    nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z, tol))
     # coordinates of the exit forbidden operator inside the exit defect frames
     src_c = nz_e.basis.conj().T @ x_e.src.basis
     img_c = nzb_e.basis.conj().T @ x_e.matrix
@@ -486,18 +481,17 @@ def compressed_parameter(a: SymmetricOp, exit_dim: int, z: complex,
         sol, *_ = np.linalg.lstsq(elim, block.t21, rcond=None)
         res = nk.op_norm(elim @ sol - block.t21)
         if res > 1e-8 * max(1.0, nk.op_norm(block.t21)):
-            raise ArithmeticError("exit elimination is not solvable on the full inner defect")
+            raise NumericalFailure("exit elimination is not solvable on the full inner defect")
         psi2 = src_c @ sol
     elif elim.shape[1]:
         psi2 = src_c @ nk.solve(elim, block.t21, tol)
     else:
         psi2 = np.zeros((block.t22.shape[1], block.t21.shape[1]), dtype=np.complex128)
     phi_coords = block.t11 + block.t12 @ psi2
-    nz_a = defect_subspaces(a, z, tol).n_space
-    nzb_a = defect_subspaces(a, np.conj(z), tol).n_space
+    nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z, tol))
     result = PartialMap.from_coords(nz_a, nzb_a, phi_coords)
     if block.isometry and not result.is_isometric(1e-10):
-        raise ArithmeticError("compression of an isometric block lost its isometry")
+        raise NumericalFailure("compression of an isometric block lost its isometry")
     return result
 
 
@@ -530,7 +524,7 @@ def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: Block
         if not block.isometry else block
     ext, cls = neumann_extension(frames.coupled, z, tmap, tol)
     if not cls.self_adjoint or not ext.is_everywhere_defined:
-        raise ArithmeticError("unitary block did not produce a self-adjoint extension")
+        raise NumericalFailure("unitary block did not produce a self-adjoint extension")
     big = ext.full_matrix()
     big = (big + big.conj().T) / 2.0
     return ExitSpaceModel(a.ambient_dim, exit_dim, "hermitian", big, a,
@@ -548,11 +542,10 @@ def unitary_exit_extension(v: IsometryOp, exit_dim: int,
     draws it at random when omitted.
     """
     n, m = v.ambient_dim, exit_dim
-    n0 = defect_subspaces(v, 0.0, tol).n_space
-    ninf = defect_subspaces(v, INFINITY, tol).n_space
+    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
     k = n0.dim
     if ninf.dim != k:
-        raise ArithmeticError("defect dimensions of an isometry must balance")
+        raise NumericalFailure("defect dimensions of an isometry must balance")
     if w_block is None:
         if rng is None:
             raise ValueError("either a block or a generator must be given")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel as nk
-from .errors import FixedPointObstruction, NotContraction
+from .errors import FixedPointObstruction, NotContraction, NumericalFailure
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 
 
@@ -71,6 +71,11 @@ class PartialOperator:
             raise ValueError("operator is not everywhere defined")
         return self.action @ self.dom.basis.conj().T
 
+    @classmethod
+    def null(cls, n: int):
+        """The operator with trivial domain on C^n."""
+        return cls(n, Subspace.empty(n), np.zeros((n, 0), dtype=np.complex128))
+
 
 @dataclass(frozen=True)
 class IsometryOp(PartialOperator):
@@ -87,11 +92,6 @@ class IsometryOp(PartialOperator):
         return self.action
 
     @classmethod
-    def null(cls, n: int) -> "IsometryOp":
-        """The operator with trivial domain on C^n."""
-        return cls(n, Subspace.empty(n), np.zeros((n, 0), dtype=np.complex128))
-
-    @classmethod
     def random(cls, n: int, d: int, rng: np.random.Generator) -> "IsometryOp":
         return cls(n, Subspace(n, nk.haar_frame(n, d, rng)), nk.haar_frame(n, d, rng))
 
@@ -105,10 +105,6 @@ class SymmetricOp(PartialOperator):
         gram = self.dom.basis.conj().T @ self.action
         if nk.op_norm(gram - gram.conj().T) > nk.STRUCT_GATE * max(1.0, nk.op_norm(gram)):
             raise ValueError("operator is not symmetric on its domain")
-
-    @classmethod
-    def null(cls, n: int) -> "SymmetricOp":
-        return cls(n, Subspace.empty(n), np.zeros((n, 0), dtype=np.complex128))
 
     @classmethod
     def random(cls, n: int, d: int, rng: np.random.Generator, scale: float = 1.0) -> "SymmetricOp":
@@ -166,6 +162,21 @@ def defect_subspaces(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) -
         raw = a - complex(point) * d
     m_space = nk.orthonormalize(raw, tol)
     return DefectPair(m_space, nk.orthogonal_complement(m_space, tol))
+
+
+def parameter_frames(op: PartialOperator, anchor,
+                     tol: TolPolicy = DEFAULT_TOL) -> tuple[DefectPair, DefectPair]:
+    """Defect pairs at an anchor and at its partner point, between whose
+    complements the parameters anchored there act.
+
+    An isometry anchored at z0 partners with 1/conj(z0) (``INFINITY`` when
+    z0 = 0); a symmetric operator anchored at z partners with conj(z).
+    """
+    if isinstance(op, IsometryOp):
+        partner = INFINITY if anchor == 0 else 1.0 / np.conj(anchor)
+    else:
+        partner = np.conj(anchor)
+    return defect_subspaces(op, anchor, tol), defect_subspaces(op, partner, tol)
 
 
 def _transport(raw_dom: CMatrix, raw_ran: CMatrix, n: int, tol: TolPolicy) -> tuple[Subspace, CMatrix]:
@@ -259,9 +270,7 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
         raise ValueError("anchor must lie in the open unit disk")
     c = nk.as_cmatrix(c)
     n = v.ambient_dim
-    src = defect_subspaces(v, z0, tol).n_space
-    dst_point = INFINITY if z0 == 0 else 1.0 / np.conj(z0)
-    dst = defect_subspaces(v, dst_point, tol).n_space
+    src, dst = (pair.n_space for pair in parameter_frames(v, z0, tol))
     if c.shape != (dst.dim, src.dim):
         raise ValueError(f"parameter shape {c.shape} does not match defects ({dst.dim}, {src.dim})")
     if nk.op_norm(c) > 1.0 + 1e-10:
@@ -276,7 +285,7 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
     res1 = nk.op_norm(v_c - (eye / z0 + (abs(z0) ** 2 - 1) / z0 * nk.inv(eye + z0 * plus, tol)))
     res2 = nk.op_norm(plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c, tol)))
     if max(res1, res2) > 1e-10 * max(1.0, nk.op_norm(v_c)):
-        raise ArithmeticError(f"extension identities violated (residual {max(res1, res2):.3e})")
+        raise NumericalFailure(f"extension identities violated (residual {max(res1, res2):.3e})")
     return FullContraction.of(v_c)
 
 

@@ -16,13 +16,14 @@ from typing import Callable
 import numpy as np
 
 from . import numkernel as nk
-from .errors import (NotContraction, PointExcluded, Singular, SingularSystem)
+from .errors import (NotContraction, NumericalFailure, PointExcluded, Singular,
+                     SingularSystem)
 from .extensions import (ExitSpaceModel, PartialMap, BlockParam,
                          compressed_extension, is_admissible,
                          neumann_extension, neumann_parameter)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 from .operators import (INFINITY, IsometryOp, PartialOperator, SymmetricOp,
-                        defect_subspaces, orthogonal_extension)
+                        defect_subspaces, orthogonal_extension, parameter_frames)
 
 
 def halfplane_to_disk(lam: complex, anchor: complex) -> complex:
@@ -185,32 +186,35 @@ class ResolventModel:
         return cls(model.inner_dim, side, "dilation", model.embeds, ev)
 
 
-def _direct_sum_matrix(v: IsometryOp, coords: CMatrix, src: Subspace, dst: Subspace) -> CMatrix:
-    return v.ambient_partial() + dst.basis @ coords @ src.basis.conj().T
+def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool, tol: TolPolicy,
+                    matrix_at: Callable[[complex], CMatrix]) -> CMatrix:
+    """Resolvent value [E - zeta T(zeta)]^{-1} of a disk family of operators.
 
-
-def direct_sum_resolvent(v: IsometryOp, param: ContractionParam, zeta: complex,
-                         tol: TolPolicy = DEFAULT_TOL,
-                         boundary_ok: bool = False) -> CMatrix:
-    """Resolvent value [E - zeta (V + F(zeta))]^{-1} of the direct-sum family.
-
-    Exterior points are evaluated through the adjoint identity
-    R(zeta)* = E - R(1/conj(zeta)); the value at 0 is exactly the identity.
+    ``matrix_at`` builds T at interior points.  Exterior points are evaluated
+    through the adjoint identity R(zeta)* = E - R(1/conj(zeta)); the value at
+    0 is exactly the identity.
     """
     zeta = complex(zeta)
-    n = v.ambient_dim
     if abs(abs(zeta) - 1.0) < 1e-14 and not boundary_ok:
         raise PointExcluded(f"unimodular point {zeta}")
     if zeta == 0:
         return np.eye(n, dtype=np.complex128)
     if abs(zeta) > 1.0:
-        inner = direct_sum_resolvent(v, param, 1.0 / np.conj(zeta), tol, boundary_ok)
+        inner = _disk_resolvent(n, 1.0 / np.conj(zeta), boundary_ok, tol, matrix_at)
         return np.eye(n) - inner.conj().T
-    full = _direct_sum_matrix(v, param(zeta), param.src, param.dst)
     try:
-        return nk.solve(np.eye(n) - zeta * full, np.eye(n), tol)
+        return nk.solve(np.eye(n) - zeta * matrix_at(zeta), np.eye(n), tol)
     except Singular as exc:
         raise SingularSystem(zeta, exc.smallest_sv) from exc
+
+
+def direct_sum_resolvent(v: IsometryOp, param: ContractionParam, zeta: complex,
+                         tol: TolPolicy = DEFAULT_TOL,
+                         boundary_ok: bool = False) -> CMatrix:
+    """Resolvent value [E - zeta (V + F(zeta))]^{-1} of the direct-sum family."""
+    def matrix_at(point: complex) -> CMatrix:
+        return v.ambient_partial() + param.dst.basis @ param(point) @ param.src.basis.conj().T
+    return _disk_resolvent(v.ambient_dim, zeta, boundary_ok, tol, matrix_at)
 
 
 def anchored_resolvent(v: IsometryOp, param: ContractionParam, z0: complex,
@@ -221,20 +225,9 @@ def anchored_resolvent(v: IsometryOp, param: ContractionParam, z0: complex,
 
     Coincides with ``direct_sum_resolvent`` when z0 = 0.
     """
-    zeta = complex(zeta)
-    n = v.ambient_dim
-    if abs(abs(zeta) - 1.0) < 1e-14 and not boundary_ok:
-        raise PointExcluded(f"unimodular point {zeta}")
-    if zeta == 0:
-        return np.eye(n, dtype=np.complex128)
-    if abs(zeta) > 1.0:
-        inner = anchored_resolvent(v, param, z0, 1.0 / np.conj(zeta), tol, boundary_ok)
-        return np.eye(n) - inner.conj().T
-    ext = orthogonal_extension(v, param(zeta), z0, tol)
-    try:
-        return nk.solve(np.eye(n) - zeta * ext.matrix, np.eye(n), tol)
-    except Singular as exc:
-        raise SingularSystem(zeta, exc.smallest_sv) from exc
+    def matrix_at(point: complex) -> CMatrix:
+        return orthogonal_extension(v, param(point), z0, tol).matrix
+    return _disk_resolvent(v.ambient_dim, zeta, boundary_ok, tol, matrix_at)
 
 
 def dilation_resolvent(model: ExitSpaceModel, point: complex,
@@ -262,21 +255,12 @@ def recover_parameter(r: ResolventModel, zeta: complex,
     """Defect-to-defect block of (1/zeta)(E - R(zeta)^{-1}).
 
     Recovers the value of the direct-sum parameter at an interior point from
-    any generalized resolvent of the isometry carried by the model.
+    any generalized resolvent of the isometry carried by the model: the
+    anchored recovery at z0 = 0.
     """
-    zeta = complex(zeta)
-    if zeta == 0 or abs(zeta) >= 1:
-        raise PointExcluded("recovery needs an interior point distinct from 0")
-    v = r.operator
-    if not isinstance(v, IsometryOp):
+    if not isinstance(r.operator, IsometryOp):
         raise TypeError("parameter recovery applies to isometric-side models")
-    n0 = defect_subspaces(v, 0.0, tol).n_space
-    ninf = defect_subspaces(v, INFINITY, tol).n_space
-    try:
-        t_full = (np.eye(r.ambient_dim) - nk.inv(r(zeta), tol)) / zeta
-    except Singular as exc:
-        raise SingularSystem(zeta, exc.smallest_sv) from exc
-    return ninf.basis.conj().T @ t_full @ n0.basis
+    return recover_anchored_parameter(r, 0.0, zeta, tol)
 
 
 def recovered_parameter_family(r: ResolventModel, tol: TolPolicy = DEFAULT_TOL) -> ContractionParam:
@@ -305,11 +289,8 @@ def recover_anchored_parameter(r: ResolventModel, z0: complex, zeta: complex,
     zeta = complex(zeta)
     if zeta == 0 or abs(zeta) >= 1:
         raise PointExcluded("recovery needs an interior point distinct from 0")
-    v = r.operator
     n = r.ambient_dim
-    src = defect_subspaces(v, z0, tol).n_space
-    dst_pt = INFINITY if z0 == 0 else 1.0 / np.conj(z0)
-    dst = defect_subspaces(v, dst_pt, tol).n_space
+    src, dst = (pair.n_space for pair in parameter_frames(r.operator, z0, tol))
     try:
         t_full = (np.eye(n) - nk.inv(r(zeta), tol)) / zeta
     except Singular as exc:
@@ -382,12 +363,10 @@ def verify_resolvent_axioms(r: ResolventModel, v: IsometryOp,
         res2 = max(res2, nk.op_norm(r0 @ comp.basis - comp.basis))
 
     res3 = 0.0
-    for z in interior:
-        herm = (r(z) + r(z).conj().T) / 2.0 - eye / 2.0
-        res3 = max(res3, max(0.0, -float(np.linalg.eigvalsh(herm)[0])))
-    for z in exterior:
-        herm = (r(z) + r(z).conj().T) / 2.0 - eye / 2.0
-        res3 = max(res3, max(0.0, float(np.linalg.eigvalsh(herm)[-1])))
+    for z in interior + exterior:
+        # Re R - E/2 is positive inside the circle and negative outside
+        w = np.linalg.eigvalsh((r(z) + r(z).conj().T) / 2.0 - eye / 2.0)
+        res3 = max(res3, max(0.0, -float(w[0]) if abs(z) < 1 else float(w[-1])))
 
     res4 = 0.0
     for z in samples:
@@ -463,12 +442,11 @@ def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex
     else:
         value = param(np.conj(lam)).conj().T
         z = np.conj(anchor)
-    src = defect_subspaces(a, z, tol).n_space
-    dst = defect_subspaces(a, np.conj(z), tol).n_space
+    src, dst = (pair.n_space for pair in parameter_frames(a, z, tol))
     tmap = PartialMap.from_coords(src, dst, value)
     ext, _ = neumann_extension(a, z, tmap, tol, validate=validate)
     if not ext.is_everywhere_defined:
-        raise ArithmeticError("full-defect parameter produced a partial extension")
+        raise NumericalFailure("full-defect parameter produced a partial extension")
     try:
         return nk.solve(ext.full_matrix() - lam * np.eye(n), np.eye(n), tol)
     except Singular as exc:
@@ -507,13 +485,12 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
         cayley = np.eye(n) + (anchor - np.conj(anchor)) * nk.solve(core, r_val, tol)
     except Singular as exc:
         raise SingularSystem(lam, exc.smallest_sv) from exc
-    src = defect_subspaces(a, anchor, tol).n_space
-    dst = defect_subspaces(a, np.conj(anchor), tol).n_space
+    src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
     image = cayley @ src.basis
     coords = dst.basis.conj().T @ image
     leak = nk.op_norm(image - dst.basis @ coords)
     if leak > 1e-8 * max(1.0, nk.op_norm(image)):
-        raise ArithmeticError(f"defect block leaks out of the target space ({leak:.3e})")
+        raise NumericalFailure(f"defect block leaks out of the target space ({leak:.3e})")
     # far out on a ray the formation of the core loses |lam| * eps relative
     # accuracy to cancellation, so the contraction gate grows with the point
     gate = max(1e-10, 256.0 * np.finfo(float).eps * abs(lam))
@@ -524,7 +501,7 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
         ext, _ = neumann_extension(a, anchor, tmap, tol, validate=False)
         res = nk.op_norm((ext.full_matrix() - lam * np.eye(n)) @ r_val - np.eye(n))
         if res > 1e-9 * max(1.0, nk.op_norm(ext.full_matrix() @ r_val)):
-            raise ArithmeticError(f"reassembled extension differs ({res:.3e})")
+            raise NumericalFailure(f"reassembled extension differs ({res:.3e})")
     return coords
 
 
@@ -532,8 +509,7 @@ def defect_block_family(r: ResolventModel, a: SymmetricOp, anchor: complex,
                         tol: TolPolicy = DEFAULT_TOL,
                         validate: bool = False) -> ContractionParam:
     """The defect-block family of a resolvent model as an evaluable parameter."""
-    src = defect_subspaces(a, anchor, tol).n_space
-    dst = defect_subspaces(a, np.conj(anchor), tol).n_space
+    src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
     return ContractionParam.callback(
         src, dst, lambda lam: defect_block(r, a, anchor, lam, tol, validate=validate),
         anchor=anchor)
@@ -554,15 +530,14 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
     if lam != z and not same_halfplane(lam, z):
         raise PointExcluded("evaluation point must share the anchor half-plane")
     n = a.ambient_dim
-    nz = defect_subspaces(a, z, tol).n_space
-    nzbar = defect_subspaces(a, np.conj(z), tol).n_space
+    nz, nzbar = (pair.n_space for pair in parameter_frames(a, z, tol))
     if nz.dim == 0 or nzbar.dim == 0:
         return np.zeros((nz.dim, nzbar.dim), dtype=np.complex128)
     # everywhere-defined extension sending f + psi to A f + conj(z) psi
     raw_dom = np.hstack([a.dom.basis, nz.basis])
     raw_img = np.hstack([a.action, np.conj(z) * nz.basis])
     if raw_dom.shape[1] != n:
-        raise ArithmeticError("domain and defect do not span the space")
+        raise NumericalFailure("domain and defect do not span the space")
     a_ext = raw_img @ nk.solve(raw_dom, np.eye(n), tol)
     eye = np.eye(n)
     try:
@@ -574,14 +549,14 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
     coords = factor * (nz.basis.conj().T @ skew @ nzbar.basis)
     bound = abs(factor)
     if nk.op_norm(coords) > bound + 1e-10:
-        raise ArithmeticError(
+        raise NumericalFailure(
             f"characteristic value norm {nk.op_norm(coords):.6f} exceeds its bound {bound:.6f}")
     # membership of the images in the shifted range
     mlam = defect_subspaces(a, lam, tol).m_space
     probe = (lam - z) * nzbar.basis - (lam - np.conj(z)) * (nz.basis @ coords)
     res = nk.op_norm(probe - nk.projector(mlam) @ probe)
     if res > 1e-9 * max(1.0, nk.op_norm(probe)):
-        raise ArithmeticError(f"characteristic images leave the shifted range ({res:.3e})")
+        raise NumericalFailure(f"characteristic images leave the shifted range ({res:.3e})")
     return coords
 
 
@@ -631,11 +606,10 @@ def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel, anchor: complex,
     compressed = compressed_extension(model, tol)
     direct = neumann_parameter(compressed, a, anchor, tol)
     if not direct.is_isometric(1e-8):
-        raise ArithmeticError("compressed operator parameter is not isometric")
+        raise NumericalFailure("compressed operator parameter is not isometric")
     if not is_admissible(a, anchor, direct, tol):
-        raise ArithmeticError("compressed operator parameter is not admissible")
-    src = defect_subspaces(a, anchor, tol).n_space
-    dst = defect_subspaces(a, np.conj(anchor), tol).n_space
+        raise NumericalFailure("compressed operator parameter is not admissible")
+    src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
     direct_coords = dst.basis.conj().T @ direct.ambient() @ src.basis
     r = ResolventModel.from_dilation(model, tol)
     points = tuple(ray.points())

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel as nk
-from .errors import (InternalDisagreement, NotRegularType, PointExcluded,
-                     PreconditionViolated, SingularSystem)
-from .extensions import ExitSpaceModel, PartialMap
+from .errors import (InternalDisagreement, NotRegularType, NumericalFailure,
+                     PointExcluded, PreconditionViolated, SingularSystem)
+from .extensions import ExitSpaceModel, PartialMap, neumann_extension
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
-from .operators import (INFINITY, IsometryOp, PartialOperator, SymmetricOp,
-                        defect_subspaces, is_regular_type)
+from .operators import (INFINITY, DefectPair, IsometryOp, PartialOperator, SymmetricOp,
+                        defect_subspaces, is_regular_type, orthogonal_extension,
+                        parameter_frames)
 from .resolvents import ContractionParam, ResolventModel
 
 #: margins below this flag a spectral obstruction; defects above it break unitarity
@@ -125,28 +126,96 @@ def verify_integral_representation(atoms: SpectralAtoms, r: ResolventModel,
     return worst
 
 
-def _anchored_gap_map(v: IsometryOp, z0: complex, lam: complex,
-                      tol: TolPolicy) -> PartialMap:
-    """The isometric comparison map between anchored defect subspaces.
+@dataclass(frozen=True)
+class _Side:
+    """One side of the Cayley transfer, as comparison maps and gap reports see it.
+
+    The circle side holds an isometry anchored at z0 in the disk: the atom
+    angle theta is probed at zeta = exp(-i theta), whose regular-type point is
+    1/zeta.  The line side holds a symmetric operator anchored at a non-real
+    z: the atom location t is probed at lam = t itself.  ``src`` and ``dst``
+    are the parameter frames at the anchor and at its partner point.
+    """
+
+    kind: str  # 'circle' | 'line'
+    op: PartialOperator
+    anchor: complex
+    src: DefectPair
+    dst: DefectPair
+    tol: TolPolicy
+
+    @classmethod
+    def of(cls, op: PartialOperator, anchor: complex, tol: TolPolicy) -> "_Side":
+        if isinstance(op, IsometryOp):
+            kind = "circle"
+        elif isinstance(op, SymmetricOp):
+            if anchor.imag == 0:
+                raise ValueError("anchor must be non-real")
+            kind = "line"
+        else:
+            raise TypeError("gap reports need an isometric or symmetric operator")
+        return cls(kind, op, anchor, *parameter_frames(op, anchor, tol), tol)
+
+    def point(self, x: float) -> complex:
+        """Resolvent-side point whose obstruction sits at the atom location x."""
+        return complex(np.exp(-1j * x)) if self.kind == "circle" else complex(x)
+
+    def regular_point(self, point: complex) -> complex:
+        return 1.0 / point if self.kind == "circle" else point
+
+    def image_point(self, point: complex) -> complex:
+        """Point whose shifted range must cover the partner one."""
+        z0 = self.anchor
+        if self.kind == "line" or z0 == 0:
+            return point
+        return (z0 + point) / (1.0 + point * np.conj(z0))
+
+    def jump_probe(self, point: complex) -> complex:
+        """Nearby point off the boundary where a callback parameter is compared."""
+        if self.kind == "circle":
+            return (1.0 - 1e-6) * point
+        return point + (1e-6j if self.anchor.imag > 0 else -1e-6j)
+
+    def factor(self, lam: complex) -> complex:
+        """Scale of the comparison map between the shadows of lam-defect vectors."""
+        z = self.anchor
+        if self.kind == "circle":
+            return (1.0 - np.conj(z) * lam) / (lam - z)
+        return (lam - np.conj(z)) / (lam - z)
+
+    def in_space_model(self, value: CMatrix) -> ExitSpaceModel | None:
+        """Model of the extension a unitary parameter value defines inside the
+        space; None on the line when that extension is not self-adjoint."""
+        op, z = self.op, self.anchor
+        if self.kind == "circle":
+            ext = orthogonal_extension(op, value, z, self.tol)
+            return ExitSpaceModel(op.ambient_dim, 0, "unitary", ext.matrix, op)
+        tmap = PartialMap.from_coords(self.src.n_space, self.dst.n_space, value)
+        ext, cls = neumann_extension(op, z, tmap, self.tol)
+        if not cls.self_adjoint:
+            return None
+        return ExitSpaceModel(op.ambient_dim, 0, "hermitian", ext.full_matrix(), op)
+
+
+def _anchored_gap_map(side: _Side, lam: complex) -> PartialMap:
+    """The comparison map between the parameter frames of a side.
 
     Sends the shadow of a lam-defect vector in the source defect space to its
-    shadow in the destination one, scaled by (1 - conj(z0) lam)/(lam - z0);
-    defined whenever 1/lam is of regular type.
+    shadow in the destination one, scaled by the side's factor; defined
+    whenever the regular-type point of lam is of regular type.
     """
-    ok, bound = is_regular_type(v, 1.0 / lam, tol)
+    reg = side.regular_point(lam)
+    ok, bound = is_regular_type(side.op, reg, side.tol)
     if not ok:
-        raise NotRegularType(1.0 / lam, bound)
-    src = defect_subspaces(v, z0, tol).n_space
-    dst_pt = INFINITY if z0 == 0 else 1.0 / np.conj(z0)
-    dst = defect_subspaces(v, dst_pt, tol).n_space
-    n_lam = defect_subspaces(v, lam, tol).n_space
+        raise NotRegularType(reg, bound)
+    src, dst = side.src.n_space, side.dst.n_space
+    n_lam = defect_subspaces(side.op, lam, side.tol).n_space
     s_mat = src.basis.conj().T @ n_lam.basis
     q_mat = dst.basis.conj().T @ n_lam.basis
-    factor = (1.0 - np.conj(z0) * lam) / (lam - z0)
-    coords = factor * (q_mat @ nk.inv(s_mat, tol))
+    coords = side.factor(lam) * (q_mat @ nk.inv(s_mat, side.tol))
     result = PartialMap.from_coords(src, dst, coords)
     if result.dim and not result.is_isometric(1e-10):
-        raise ArithmeticError("comparison map lost its isometry")
+        raise NumericalFailure("comparison map lost its isometry")
     return result
 
 
@@ -157,7 +226,7 @@ def comparison_map(v: IsometryOp, zeta: complex,
     complement is sent to 1/zeta times its shadow in the range complement."""
     if abs(abs(zeta) - 1.0) > 1e-12:
         raise PointExcluded("the comparison map is defined at unimodular points")
-    return _anchored_gap_map(v, 0.0, complex(zeta), tol)
+    return _anchored_gap_map(_Side.of(v, 0.0, tol), complex(zeta))
 
 
 def comparison_map_symmetric(a: SymmetricOp, z: complex, lam: complex,
@@ -167,23 +236,7 @@ def comparison_map_symmetric(a: SymmetricOp, z: complex, lam: complex,
     Sends the shadow of a real-point defect vector in the anchor defect space
     to (lam - conj(z))/(lam - z) times its shadow in the conjugate one.
     """
-    if z.imag == 0:
-        raise ValueError("anchor must be non-real")
-    lam = complex(lam)
-    ok, bound = is_regular_type(a, lam, tol)
-    if not ok:
-        raise NotRegularType(lam, bound)
-    src = defect_subspaces(a, z, tol).n_space
-    dst = defect_subspaces(a, np.conj(z), tol).n_space
-    n_lam = defect_subspaces(a, lam, tol).n_space
-    s_mat = src.basis.conj().T @ n_lam.basis
-    q_mat = dst.basis.conj().T @ n_lam.basis
-    factor = (lam - np.conj(z)) / (lam - z)
-    coords = factor * (q_mat @ nk.inv(s_mat, tol))
-    result = PartialMap.from_coords(src, dst, coords)
-    if result.dim and not result.is_isometric(1e-10):
-        raise ArithmeticError("comparison map lost its isometry")
-    return result
+    return _anchored_gap_map(_Side.of(a, z, tol), complex(lam))
 
 
 @dataclass(frozen=True)
@@ -207,9 +260,7 @@ def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex,
     zeta = complex(zeta)
     c = nk.as_cmatrix(c)
     w = comparison_map(v, zeta, tol)
-    n = v.ambient_dim
-    n0 = defect_subspaces(v, 0.0, tol).n_space
-    ninf = defect_subspaces(v, INFINITY, tol).n_space
+    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
     w_coords = ninf.basis.conj().T @ w.matrix
     if c.shape != w_coords.shape:
         raise ValueError(f"parameter shape {c.shape} does not match defects {w_coords.shape}")
@@ -270,13 +321,18 @@ class GapReport:
     atoms_in_region: bool | None
 
 
-def _param_value_at(param: ContractionParam, point: complex, jump_probe: complex | None):
-    value = param(point)
-    if param.kind == "callback" and jump_probe is not None:
-        jump = nk.op_norm(value - param(jump_probe))
-    else:
-        jump = 0.0
-    return value, jump
+def in_space_atoms(op: PartialOperator, param: ContractionParam, anchor: complex,
+                   tol: TolPolicy = DEFAULT_TOL) -> SpectralAtoms | None:
+    """Atoms of the extension that a constant unitary parameter defines inside
+    the space; None for other parameters and for non-self-adjoint extensions."""
+    if param.kind != "constant":
+        return None
+    value = param.form[1]
+    gram = value.conj().T @ value
+    if value.shape[0] != value.shape[1] or nk.op_norm(gram - np.eye(value.shape[1])) > nk.STRUCT_GATE:
+        return None
+    model = _Side.of(op, complex(anchor), tol).in_space_model(value)
+    return None if model is None else spectral_measure(model, tol)
 
 
 def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
@@ -290,15 +346,58 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
     atoms.  For constant unitary parameters the in-space extension provides the
     atom-side ground truth and the verdicts are cross-checked.
     """
-    if isinstance(op, IsometryOp):
-        if region.kind != "circle":
-            raise ValueError("isometric gap regions are circle arcs")
-        return _gap_report_circle(op, param, complex(anchor), region, grid_size, tol)
-    if isinstance(op, SymmetricOp):
-        if region.kind != "line":
-            raise ValueError("symmetric gap regions are real intervals")
-        return _gap_report_line(op, param, complex(anchor), region, grid_size, tol)
-    raise TypeError("gap reports need an isometric or symmetric operator")
+    side = _Side.of(op, complex(anchor), tol)
+    if region.kind != side.kind:
+        raise ValueError(f"gap regions of this operator are {side.kind} regions")
+
+    def margin_at(point: complex, value: CMatrix) -> float:
+        w = _anchored_gap_map(side, point)
+        return _margin(value, side.dst.n_space.basis.conj().T @ w.matrix)
+
+    records = []
+    grid = region.grid(grid_size)
+    for x in grid:
+        point = side.point(x)
+        reg = side.regular_point(point)
+        ok, bound = is_regular_type(op, reg, tol)
+        if not ok:
+            raise NotRegularType(reg, bound)
+        m_img = defect_subspaces(op, side.image_point(point), tol).m_space
+        cov = side.dst.m_space.basis.conj().T @ m_img.basis
+        if cov.shape[0] != cov.shape[1]:
+            raise PreconditionViolated(f"shifted ranges do not balance at {x}")
+        covering = float(np.linalg.svd(cov, compute_uv=False)[-1]) if cov.size else np.inf
+        if covering <= GAP_GATE:
+            raise PreconditionViolated(f"range covering fails at {x}")
+        value = param(point)
+        jump = nk.op_norm(value - param(side.jump_probe(point))) \
+            if param.kind == "callback" else 0.0
+        gram_l = nk.op_norm(value.conj().T @ value - np.eye(value.shape[1]))
+        gram_r = nk.op_norm(value @ value.conj().T - np.eye(value.shape[0]))
+        records.append(GapPointRecord(point, bound, covering, margin_at(point, value),
+                                      max(gram_l, gram_r), jump))
+
+    def gfun(x: float) -> float:
+        point = side.point(x)
+        return margin_at(point, param(point))
+
+    _require_regular_region(op, region, grid,
+                            np.array([r.regular_bound for r in records]), tol)
+    refined, _ = _refine_minima(gfun, grid, np.array([r.margin for r in records]),
+                                region.lo, region.hi)
+    unit_ok = all(r.unitarity_defect <= GAP_GATE for r in records)
+    cont_ok = all(r.continuation_jump <= 1e-4 for r in records)
+    analytic = bool(refined > GAP_GATE and unit_ok and cont_ok)
+
+    atoms = in_space_atoms(op, param, anchor, tol)
+    atoms_inside = None
+    if atoms is not None:
+        atoms_inside = any(region.contains(loc) for loc, _ in atoms.atoms)
+        if atoms_inside == analytic:
+            raise InternalDisagreement(
+                f"margin verdict {analytic} vs atoms in region {atoms_inside}")
+    return GapReport(region, tuple(records), refined, analytic,
+                     param.kind in ("constant", "affine"), atoms, atoms_inside)
 
 
 def _margin(value: CMatrix, w_coords: CMatrix) -> float:
@@ -378,136 +477,6 @@ def _require_regular_region(op: PartialOperator, region: ArcSpec, grid: np.ndarr
         raise NotRegularType(point, refined)
 
 
-def _gap_report_circle(v: IsometryOp, param: ContractionParam, z0: complex,
-                       region: ArcSpec, grid_size: int, tol: TolPolicy) -> GapReport:
-    from .extensions import ExitSpaceModel as _Model
-    from .operators import orthogonal_extension
-
-    dst_pt = INFINITY if z0 == 0 else 1.0 / np.conj(z0)
-    dst = defect_subspaces(v, dst_pt, tol).n_space
-    m_dst = defect_subspaces(v, dst_pt, tol).m_space
-
-    def zeta_of(theta: float) -> complex:
-        # resolvent-side point whose obstruction sits at the atom angle theta
-        return complex(np.exp(-1j * theta))
-
-    records = []
-    exact = param.kind in ("constant", "affine")
-    for theta in region.grid(grid_size):
-        zeta = zeta_of(theta)
-        ok, bound = is_regular_type(v, 1.0 / zeta, tol)
-        if not ok:
-            raise NotRegularType(1.0 / zeta, bound)
-        # shifted-range covering side condition at the anchored image point
-        img_pt = zeta if z0 == 0 else (z0 + zeta) / (1.0 + zeta * np.conj(z0))
-        m_img = defect_subspaces(v, img_pt, tol).m_space
-        cov = m_dst.basis.conj().T @ m_img.basis
-        if cov.shape[0] != cov.shape[1]:
-            raise PreconditionViolated(f"shifted ranges do not balance at angle {theta}")
-        side = float(np.linalg.svd(cov, compute_uv=False)[-1]) if cov.size else np.inf
-        if side <= GAP_GATE:
-            raise PreconditionViolated(f"range covering fails at angle {theta}")
-        w = _anchored_gap_map(v, z0, zeta, tol)
-        w_coords = dst.basis.conj().T @ w.matrix
-        value, jump = _param_value_at(param, zeta, (1.0 - 1e-6) * zeta)
-        gram_l = nk.op_norm(value.conj().T @ value - np.eye(value.shape[1]))
-        gram_r = nk.op_norm(value @ value.conj().T - np.eye(value.shape[0]))
-        records.append(GapPointRecord(zeta, bound, side, _margin(value, w_coords),
-                                      max(gram_l, gram_r), jump))
-
-    def gfun(theta: float) -> float:
-        zeta = zeta_of(theta)
-        w = _anchored_gap_map(v, z0, zeta, tol)
-        return _margin(param(zeta), dst.basis.conj().T @ w.matrix)
-
-    grid = region.grid(grid_size)
-    _require_regular_region(v, region, grid,
-                            np.array([r.regular_bound for r in records]), tol)
-    refined, _ = _refine_minima(gfun, grid, np.array([r.margin for r in records]),
-                                region.lo, region.hi)
-    unit_ok = all(r.unitarity_defect <= GAP_GATE for r in records)
-    cont_ok = all(r.continuation_jump <= 1e-4 for r in records)
-    analytic = bool(refined > GAP_GATE and unit_ok and cont_ok)
-
-    atoms = None
-    atoms_inside = None
-    if param.kind == "constant":
-        value = param.form[1]
-        gram = value.conj().T @ value
-        if value.shape[0] == value.shape[1] and nk.op_norm(gram - np.eye(value.shape[1])) <= nk.STRUCT_GATE:
-            ext = orthogonal_extension(v, value, z0, tol)
-            model = _Model(v.ambient_dim, 0, "unitary", ext.matrix, v)
-            atoms = spectral_measure(model, tol)
-            atoms_inside = any(region.contains(loc) for loc, _ in atoms.atoms)
-            if atoms_inside == analytic:
-                raise InternalDisagreement(
-                    f"margin verdict {analytic} vs atoms in region {atoms_inside}")
-    return GapReport(region, tuple(records), refined, analytic, exact, atoms, atoms_inside)
-
-
-def _gap_report_line(a: SymmetricOp, param: ContractionParam, z: complex,
-                     region: ArcSpec, grid_size: int, tol: TolPolicy) -> GapReport:
-    from .extensions import ExitSpaceModel as _Model, neumann_extension
-
-    dst = defect_subspaces(a, np.conj(z), tol).n_space
-    m_dst = defect_subspaces(a, np.conj(z), tol).m_space
-    probe_shift = 1e-6j if z.imag > 0 else -1e-6j
-
-    records = []
-    exact = param.kind in ("constant", "affine")
-    for t in region.grid(grid_size):
-        lam = complex(t)
-        ok, bound = is_regular_type(a, lam, tol)
-        if not ok:
-            raise NotRegularType(lam, bound)
-        m_lam = defect_subspaces(a, lam, tol).m_space
-        cov = m_dst.basis.conj().T @ m_lam.basis
-        if cov.shape[0] != cov.shape[1]:
-            raise PreconditionViolated(f"shifted ranges do not balance at {t}")
-        side = float(np.linalg.svd(cov, compute_uv=False)[-1]) if cov.size else np.inf
-        if side <= GAP_GATE:
-            raise PreconditionViolated(f"range covering fails at {t}")
-        w = comparison_map_symmetric(a, z, lam, tol)
-        w_coords = dst.basis.conj().T @ w.matrix
-        value, jump = _param_value_at(param, lam, lam + probe_shift)
-        gram_l = nk.op_norm(value.conj().T @ value - np.eye(value.shape[1]))
-        gram_r = nk.op_norm(value @ value.conj().T - np.eye(value.shape[0]))
-        records.append(GapPointRecord(lam, bound, side, _margin(value, w_coords),
-                                      max(gram_l, gram_r), jump))
-
-    def gfun(t: float) -> float:
-        lam = complex(t)
-        w = comparison_map_symmetric(a, z, lam, tol)
-        return _margin(param(lam), dst.basis.conj().T @ w.matrix)
-
-    grid = region.grid(grid_size)
-    _require_regular_region(a, region, grid,
-                            np.array([r.regular_bound for r in records]), tol)
-    refined, _ = _refine_minima(gfun, grid, np.array([r.margin for r in records]),
-                                region.lo, region.hi)
-    unit_ok = all(r.unitarity_defect <= GAP_GATE for r in records)
-    cont_ok = all(r.continuation_jump <= 1e-4 for r in records)
-    analytic = bool(refined > GAP_GATE and unit_ok and cont_ok)
-
-    atoms = None
-    atoms_inside = None
-    if param.kind == "constant":
-        value = param.form[1]
-        gram = value.conj().T @ value
-        if value.shape[0] == value.shape[1] and nk.op_norm(gram - np.eye(value.shape[1])) <= nk.STRUCT_GATE:
-            src = defect_subspaces(a, z, tol).n_space
-            tmap = PartialMap.from_coords(src, dst, value)
-            ext, cls = neumann_extension(a, z, tmap, tol)
-            if cls.self_adjoint:
-                model = _Model(a.ambient_dim, 0, "hermitian", ext.full_matrix(), a)
-                atoms = spectral_measure(model, tol)
-                atoms_inside = any(region.contains(loc) for loc, _ in atoms.atoms)
-                if atoms_inside == analytic:
-                    raise InternalDisagreement(
-                        f"margin verdict {analytic} vs atoms in region {atoms_inside}")
-    return GapReport(region, tuple(records), refined, analytic, exact, atoms, atoms_inside)
-
-
 @dataclass(frozen=True)
 class DecompositionCheck:
     dom_split: bool
@@ -558,8 +527,7 @@ def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex,
     zeta = complex(zeta)
     c = nk.as_cmatrix(c)
     n = v.ambient_dim
-    n0 = defect_subspaces(v, 0.0, tol).n_space
-    ninf = defect_subspaces(v, INFINITY, tol).n_space
+    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
     full = v.ambient_partial() + ninf.basis @ c @ n0.basis.conj().T
     target = 1.0 / zeta
     system = full - target * np.eye(n)

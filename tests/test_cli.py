@@ -159,3 +159,54 @@ def test_verify_suites_with_in_space_extension(tmp_path):
         path = tmp_path / f"{kind}-inspace.json"
         cli.save_instance(cli.generate_instance(kind, 3, 1, 0, seed=12), path)
         assert cli.main(["verify", str(path), "--suite", "all"]) == 0
+
+
+def test_verify_gap_suite_at_stated_scale(tmp_path):
+    # n = 16 is the top of the stated scale; d = 8 leaves an 8-dim defect
+    for kind in ("isometric", "symmetric"):
+        path = tmp_path / f"{kind}-16.json"
+        cli.save_instance(cli.generate_instance(kind, 16, 8, 2, seed=16), path)
+        assert cli.main(["verify", str(path), "--suite", "gap"]) == 0
+
+
+def test_cli_tolerance_reaches_every_defect_computation(tmp_path, monkeypatch):
+    paths = []
+    for kind in ("isometric", "symmetric"):
+        paths.append(tmp_path / f"{kind}.json")
+        cli.save_instance(cli.generate_instance(kind, 4, 2, 2, seed=3), paths[-1])
+    seen = []
+    real = g.operators.defect_subspaces
+
+    def spy(op, point, tol=g.DEFAULT_TOL):
+        seen.append(tol)
+        return real(op, point, tol)
+
+    for module in (g.operators, g.extensions, g.resolvents, g.spectral, cli):
+        if hasattr(module, "defect_subspaces"):
+            monkeypatch.setattr(module, "defect_subspaces", spy)
+    policy = g.TolPolicy(abs_floor=1e-9)
+    for path in paths:
+        cli.main(["--abs-floor", "1e-9", "verify", str(path), "--suite", "all"])
+    assert seen and all(tol == policy for tol in seen)
+
+
+def test_non_finite_entry_rejected_at_parse_time(tmp_path):
+    path = tmp_path / "inst.json"
+    cli.save_instance(cli.generate_instance("isometric", 3, 1, 1, seed=2), path)
+    obj = json.loads(path.read_text())
+    obj["domain_basis"][0][0] = [float("nan"), 0.0]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(cli.ParseError, match="domain_basis"):
+        cli.load_instance(path)
+
+
+def test_numerical_failure_exits_with_code_2(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.json"
+    cli.save_instance(cli.generate_instance("isometric", 3, 1, 1, seed=2), path)
+
+    def failing_suite(*args, **kwargs):
+        raise g.NumericalFailure("identity violated")
+
+    monkeypatch.setattr(cli, "run_suite", failing_suite)
+    assert cli.main(["verify", str(path)]) == 2
+    assert "error: identity violated" in capsys.readouterr().err

@@ -205,6 +205,26 @@ def test_gap_report_anchored_parameter(rng):
     assert not around.analytic and around.atoms_in_region
 
 
+def test_gap_report_guards():
+    v = partial_identity_isometry()
+    n0 = g.defect_subspaces(v, 0.0).n_space
+    ninf = g.defect_subspaces(v, g.INFINITY).n_space
+    param = g.ContractionParam.constant(n0, ninf, np.array([[1j]]))
+    with pytest.raises(ValueError):
+        g.gap_report(v, param, 0.0, g.ArcSpec("line", 0.5, 1.0))
+    with pytest.raises(TypeError):
+        plain = g.PartialOperator(v.ambient_dim, v.dom, v.action)
+        g.gap_report(plain, param, 0.0, g.ArcSpec("circle", 0.5, 1.0))
+    a = g.SymmetricOp.null(1)
+    src = g.defect_subspaces(a, 1j).n_space
+    dst = g.defect_subspaces(a, -1j).n_space
+    sparam = g.ContractionParam.constant(src, dst, np.array([[-1.0]]), anchor=1j)
+    with pytest.raises(ValueError):
+        g.gap_report(a, sparam, 1j, g.ArcSpec("circle", 0.5, 1.0))
+    with pytest.raises(ValueError):
+        g.gap_report(a, sparam, 2.0, g.ArcSpec("line", 0.5, 1.0))
+
+
 def test_decomposition_check_fixture():
     v = partial_identity_isometry()
     result = g.decomposition_check(v, np.exp(1.0j))

@@ -55,6 +55,16 @@ def _c_from_json(value, field: str = "value") -> complex:
     return z
 
 
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{field}: expected an object, got {type(value).__name__}")
+    return value
+
+
+#: matrix entries each parameter form needs
+_PARAM_FORMS = {"constant": ("value",), "affine": ("k0", "k1")}
+
+
 def _m_to_json(mat: CMatrix) -> list:
     return [[_c_to_json(mat[i, j]) for j in range(mat.shape[1])] for i in range(mat.shape[0])]
 
@@ -124,10 +134,8 @@ class InstanceFile:
         if par["form"] == "constant":
             return ContractionParam.constant(src, dst,
                                              _m_from_json(par["value"], hint), anchor)
-        if par["form"] == "affine":
-            return ContractionParam.affine(src, dst, _m_from_json(par["k0"], hint),
-                                           _m_from_json(par["k1"], hint), anchor)
-        raise ParseError(f"unknown parameter form {par['form']!r}")
+        return ContractionParam.affine(src, dst, _m_from_json(par["k0"], hint),
+                                       _m_from_json(par["k1"], hint), anchor)
 
     def to_json(self) -> dict:
         n, d = self.ambient_dim, self.domain_basis.shape[1]
@@ -153,6 +161,7 @@ class InstanceFile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "InstanceFile":
+        obj = _object(obj, "instance")
         try:
             if obj.get("schema_version") != SCHEMA_VERSION:
                 raise ParseError(f"unsupported schema version {obj.get('schema_version')!r}")
@@ -163,18 +172,24 @@ class InstanceFile:
             exit_obj = obj.get("exit")
             kwargs = {}
             if exit_obj is not None:
-                m = int(exit_obj["dim"])
+                m = int(_object(exit_obj, "exit")["dim"])
                 defect = (n - d) + m
                 kwargs["exit_dim"] = m
                 kwargs["exit_block"] = _m_from_json(exit_obj["block"], (defect, defect),
                                                     "exit.block")
                 kwargs["anchor"] = _c_from_json(exit_obj["anchor"], "exit.anchor")
             # the parameter block is kept raw and decoded on use; check it now
-            par = obj.get("parameter") or {}
-            for key in ("value", "k0", "k1"):
-                if key in par:
+            par = obj.get("parameter")
+            if par is not None:
+                form = _object(par, "parameter").get("form")
+                keys = _PARAM_FORMS.get(form) if isinstance(form, str) else None
+                if keys is None:
+                    raise ParseError(f"parameter.form: expected constant or affine, got {form!r}")
+                for key in keys:
+                    if key not in par:
+                        raise ParseError(f"parameter.{key}: missing for form {form!r}")
                     _m_from_json(par[key], (0, 0), f"parameter.{key}")
-            _c_from_json(par.get("z0", [0.0, 0.0]), "parameter.z0")
+                _c_from_json(par.get("z0", [0.0, 0.0]), "parameter.z0")
             return cls(kind=obj["kind"], ambient_dim=n, domain_basis=dom,
                        action_or_range=act, parameter=obj.get("parameter"),
                        seed=int(obj.get("seed", 0)), **kwargs)
@@ -292,31 +307,33 @@ def generate_instance(kind: str, n: int, d: int, m: int, seed: int) -> InstanceF
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _resolvent_model(inst: InstanceFile, tol: TolPolicy) -> ResolventModel:
-    model = inst.model(tol)
+def _required(model: ExitSpaceModel | None) -> ExitSpaceModel:
     if model is None:
-        raise ParseError("instance carries no exit block, so no resolvent is defined")
-    return ResolventModel.from_dilation(model, tol)
+        raise ParseError("instance carries no exit block, so no exit-space model is defined")
+    return model
 
 
 def run_suite(inst: InstanceFile, suite: str, tol: TolPolicy,
               epsilon: float = 0.1) -> Report:
     report = Report(suite)
     wanted = ("axioms", "oracle", "gap", "limits") if suite == "all" else (suite,)
+    op = inst.operator()
+    # one exit-space model per run, built only when a suite reads it
+    model = inst.model(tol) if {"axioms", "oracle", "limits"} & set(wanted) else None
     if "axioms" in wanted:
-        _suite_axioms(inst, tol, report)
+        _suite_axioms(inst, op, _required(model), tol, report)
     if "oracle" in wanted:
-        _suite_oracle(inst, tol, report)
+        _suite_oracle(inst, op, _required(model), tol, report)
     if "gap" in wanted:
-        _suite_gap(inst, tol, report)
+        _suite_gap(inst, op, tol, report)
     if "limits" in wanted:
-        _suite_limits(inst, tol, report, epsilon)
+        _suite_limits(inst, op, model, tol, report, epsilon)
     return report
 
 
-def _suite_axioms(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
-    r = _resolvent_model(inst, tol)
-    op = inst.operator()
+def _suite_axioms(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitSpaceModel,
+                  tol: TolPolicy, report: Report) -> None:
+    r = ResolventModel.from_dilation(model, tol)
     if inst.kind == "isometric":
         axioms = verify_resolvent_axioms(r, op, tol=tol)
         for check in axioms.checks:
@@ -345,9 +362,9 @@ def _suite_axioms(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
     report.add("conjugate-symmetry", worst <= 1e-9, worst, "resolvent-axioms")
 
 
-def _suite_oracle(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
-    r = _resolvent_model(inst, tol)
-    op = inst.operator()
+def _suite_oracle(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitSpaceModel,
+                  tol: TolPolicy, report: Report) -> None:
+    r = ResolventModel.from_dilation(model, tol)
     worst = 0.0
     if inst.kind == "isometric":
         family = recovered_parameter_family(r, tol)
@@ -360,17 +377,17 @@ def _suite_oracle(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
         worst = max(worst, nk.op_norm(
             extension_resolvent(op, family, inst.anchor, lam, tol, validate=False) - r(lam)))
     report.add("extension-formula-vs-dilation", worst <= 1e-9, worst, "oracle-equivalence")
-    atoms = spectral_measure(inst.model(tol), tol)
+    atoms = spectral_measure(model, tol)
     res = verify_integral_representation(atoms, r, DEFAULT_HALFPLANE_SAMPLES)
     report.add("atomic-integral-representation", res <= 1e-10, res, "oracle-equivalence")
 
 
-def _suite_gap(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
+def _suite_gap(inst: InstanceFile, op: IsometryOp | SymmetricOp, tol: TolPolicy,
+               report: Report) -> None:
     param = inst.parameter_family(tol)
     if param is None:
         report.add("gap-parameter-present", False, np.inf, "gap-criteria")
         return
-    op = inst.operator()
     anchor = inst.parameter_anchor()
     atoms = in_space_atoms(op, param, anchor, tol)
     if atoms is None:
@@ -410,15 +427,14 @@ def _suite_gap(inst: InstanceFile, tol: TolPolicy, report: Report) -> None:
     report.add("gap-verdict-on-atom-region", obstructed, margin, "gap-criteria")
 
 
-def _suite_limits(inst: InstanceFile, tol: TolPolicy, report: Report, epsilon: float) -> None:
+def _suite_limits(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitSpaceModel | None,
+                  tol: TolPolicy, report: Report, epsilon: float) -> None:
     if inst.kind != "symmetric":
         report.add("limits-not-applicable-isometric", True, 0.0, "boundary-limits")
         return
-    model = inst.model(tol)
     if model is None:
         report.add("limits-model-present", False, np.inf, "boundary-limits")
         return
-    op = inst.operator()
     anchor = inst.anchor
     angle = np.pi / 2 if anchor.imag > 0 else -np.pi / 2
     ray = RaySpec(anchor, angle, tuple(10.0 ** k for k in range(1, 7)), epsilon)
@@ -473,7 +489,7 @@ def cmd_verify(args) -> int:
 def cmd_resolvent(args) -> int:
     inst = load_instance(args.instance)
     tol = _tol_from_args(args)
-    r = _resolvent_model(inst, tol)
+    r = ResolventModel.from_dilation(_required(inst.model(tol)), tol)
     lines = ["# re(point)\tim(point)\tentries re,im row-major"]
     for point in _sample_points(inst, args.grid):
         value = r(point)
@@ -487,10 +503,7 @@ def cmd_resolvent(args) -> int:
 def cmd_spectrum(args) -> int:
     inst = load_instance(args.instance)
     tol = _tol_from_args(args)
-    model = inst.model(tol)
-    if model is None:
-        raise ParseError("instance carries no exit block, so no spectral measure is defined")
-    atoms = spectral_measure(model, tol)
+    atoms = spectral_measure(_required(inst.model(tol)), tol)
     label = "angle" if atoms.kind == "circle" else "location"
     lines = [f"# {label}\tweight entries re,im row-major"]
     for loc, weight in atoms.atoms:

@@ -17,8 +17,8 @@ from . import numkernel as nk
 from .errors import (InternalDisagreement, NotAdmissible, NotContraction,
                      NumericalFailure, T22NotAdmissible)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
-from .operators import (IsometryOp, PartialOperator, SymmetricOp, cayley_transform,
-                        defect_subspaces, parameter_frames)
+from .operators import (IsometryOp, PartialOperator, SymmetricOp, _transport,
+                        cayley_transform, defect_subspaces, parameter_frames)
 
 
 @dataclass(frozen=True)
@@ -201,20 +201,10 @@ def is_admissible(a: SymmetricOp, z: complex, t: PartialMap,
     n = a.ambient_dim
     x = forbidden_operator(a, z, tol)
     common = nk.intersect(t.src, x.src, tol)
-    if common.dim == 0:
-        verdict_a = True
-    else:
-        diff = (t.ambient() - x.ambient()) @ common.basis
-        s = np.linalg.svd(diff, compute_uv=False)
-        verdict_a = bool(s[-1] > tol.threshold(max(s[0], 1.0), n))
+    verdict_a, _ = nk.injective((t.ambient() - x.ambient()) @ common.basis, n, tol)
     u = cayley_transform(a, z, "forward", tol)
     frame = np.hstack([u.dom.basis, t.src.basis])
-    images = np.hstack([u.action, t.matrix])
-    if frame.shape[1] == 0:
-        verdict_b = True
-    else:
-        s = np.linalg.svd(images - frame, compute_uv=False)
-        verdict_b = bool(s[-1] > tol.threshold(max(s[0], 1.0), n))
+    verdict_b, _ = nk.injective(np.hstack([u.action, t.matrix]) - frame, n, tol)
     if verdict_a != verdict_b:
         raise InternalDisagreement(
             f"kernel test says {verdict_a}, fixed-point test says {verdict_b}")
@@ -257,16 +247,9 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
         raise NotAdmissible("parameter")
     isometric = t.is_isometric()
 
-    raw_dom = np.hstack([a.dom.basis, t.matrix - t.src.basis])
-    raw_img = np.hstack([a.action, z * t.matrix - np.conj(z) * t.src.basis])
-    if raw_dom.shape[1] == 0:
-        ext: PartialOperator = PartialOperator(n, Subspace.empty(n), raw_img)
-    else:
-        q = nk.orthonormalize(raw_dom, tol)
-        if q.dim != raw_dom.shape[1]:
-            raise NumericalFailure("extension domain sum is not direct")
-        coeff = q.basis.conj().T @ raw_dom
-        ext = PartialOperator(n, q, raw_img @ nk.inv(coeff, tol))
+    ext = PartialOperator(n, *_transport(
+        np.hstack([a.dom.basis, t.matrix - t.src.basis]),
+        np.hstack([a.action, z * t.matrix - np.conj(z) * t.src.basis]), n, tol))
 
     full_dom = t.dim == pair_z.n_space.dim
     full_ran = isometric and t.dim == pair_zbar.n_space.dim
@@ -338,10 +321,7 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
     # part of the forbidden operator that stays inside the chosen subspaces
     inside = nk.intersect(x.src, n_src, tol)
     if inside.dim:
-        out_of_dst = (eye - nk.projector(n_dst)) @ x.ambient() @ inside.basis
-        _, s, vh = np.linalg.svd(out_of_dst)
-        thr = tol.threshold(max(float(s[0]) if s.size else 0.0, 1.0), n)
-        kernel = vh.conj().T[:, np.sum(s > thr):] if s.size else np.eye(inside.dim)
+        kernel = nk.kernel((eye - nk.projector(n_dst)) @ x.ambient() @ inside.basis, n, tol)
         core = Subspace(n, inside.basis @ kernel) if kernel.shape[1] else Subspace.empty(n)
     else:
         core = Subspace.empty(n)
@@ -355,11 +335,7 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
         u0 = target.basis @ img.basis.conj().T
         overlap = nk.intersect(img, target, tol)
         if overlap.dim:
-            move = (u0 - eye) @ overlap.basis
-            _, s, vh = np.linalg.svd(move)
-            thr = tol.threshold(max(float(s[0]) if s.size else 0.0, 1.0), n)
-            kern = vh.conj().T[:, np.sum(s > thr):] if s.size else np.eye(overlap.dim)
-            fixed = overlap.basis @ kern
+            fixed = overlap.basis @ nk.kernel((u0 - eye) @ overlap.basis, n, tol)
         else:
             fixed = np.zeros((n, 0), dtype=np.complex128)
         p_fixed = fixed @ fixed.conj().T
@@ -471,10 +447,8 @@ def compressed_parameter(a: SymmetricOp, exit_dim: int, z: complex,
     src_c = nz_e.basis.conj().T @ x_e.src.basis
     img_c = nzb_e.basis.conj().T @ x_e.matrix
     elim = img_c - block.t22 @ src_c
-    if elim.shape[1]:
-        s = np.linalg.svd(elim, compute_uv=False)
-        if s[-1] <= tol.threshold(max(float(s[0]), 1.0), exit_dim):
-            raise T22NotAdmissible()
+    if not nk.injective(elim, exit_dim, tol)[0]:
+        raise T22NotAdmissible()
     if elim.shape[0] and elim.shape[1] != elim.shape[0]:
         # partial exit forbidden domain: eliminate by least squares with a
         # solvability check (the full-block case always lands inside)
@@ -496,7 +470,6 @@ def compressed_parameter(a: SymmetricOp, exit_dim: int, z: complex,
 
 
 def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: BlockParam,
-                         kind: str = "selfadjoint",
                          tol: TolPolicy = DEFAULT_TOL,
                          exit_op: SymmetricOp | None = None) -> ExitSpaceModel:
     """Self-adjoint extension of ``a`` acting on inner + exit coordinates.
@@ -506,8 +479,6 @@ def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: Block
     to a unitary map of the split defect spaces and must be admissible for
     the split operator; admissibility failures name the offending piece.
     """
-    if kind != "selfadjoint":
-        raise ValueError(f"unsupported model kind {kind!r}")
     if exit_op is None:
         exit_op = SymmetricOp.null(exit_dim)
     frames = exit_frames(a, exit_op, z, tol)
@@ -518,11 +489,12 @@ def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: Block
     phi = compressed_parameter(a, exit_dim, z, block, tol, exit_op)
     if not is_admissible(a, z, phi, tol):
         raise NotAdmissible("phi")
-    if not is_admissible(frames.coupled, z, tmap, tol):
-        raise InternalDisagreement("block passed the split tests but fails jointly")
     iso_block = BlockParam(block.t11, block.t12, block.t21, block.t22, isometry=True) \
         if not block.isometry else block
-    ext, cls = neumann_extension(frames.coupled, z, tmap, tol)
+    try:
+        ext, cls = neumann_extension(frames.coupled, z, tmap, tol)
+    except NotAdmissible as exc:
+        raise InternalDisagreement("block passed the split tests but fails jointly") from exc
     if not cls.self_adjoint or not ext.is_everywhere_defined:
         raise NumericalFailure("unitary block did not produce a self-adjoint extension")
     big = ext.full_matrix()

@@ -161,6 +161,29 @@ def intersect(s1: Subspace, s2: Subspace, tol: TolPolicy = DEFAULT_TOL) -> Subsp
     return Subspace(n, _fix_phases(u[:, : int(np.sum(keep))]))
 
 
+def injective(m: CMatrix, n: int, tol: TolPolicy = DEFAULT_TOL) -> tuple[bool, float]:
+    """Whether ``m`` has a trivial numerical kernel, with its smallest singular value.
+
+    The smallest singular value must exceed the threshold for dimension ``n``
+    relative to max(sigma_max, 1); a matrix without columns is injective with
+    bound +inf.
+    """
+    if m.shape[1] == 0:
+        return True, np.inf
+    s = np.linalg.svd(m, compute_uv=False)
+    return bool(s[-1] > tol.threshold(max(float(s[0]), 1.0), n)), float(s[-1])
+
+
+def kernel(m: CMatrix, n: int, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+    """Orthonormal columns spanning the numerical kernel of ``m``, under the
+    threshold of ``injective``."""
+    if m.size == 0:
+        return np.eye(m.shape[1], dtype=np.complex128)
+    _, s, vh = np.linalg.svd(m)
+    rank = int(np.sum(s > tol.threshold(max(float(s[0]), 1.0), n)))
+    return vh.conj().T[:, rank:]
+
+
 def solve(m: CMatrix, b: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     """Solve M X = B for square M, rejecting numerically singular systems."""
     m = as_cmatrix(m)

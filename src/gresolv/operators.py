@@ -53,10 +53,6 @@ class PartialOperator:
         if self.action.shape != (self.ambient_dim, self.dom.dim):
             raise ValueError(f"action shape {self.action.shape} does not match domain")
 
-    @property
-    def dom_dim(self) -> int:
-        return self.dom.dim
-
     def ambient_partial(self) -> CMatrix:
         """The everywhere-defined matrix acting as the operator on dom and 0 on dom^perp."""
         return self.action @ self.dom.basis.conj().T
@@ -189,7 +185,7 @@ def _transport(raw_dom: CMatrix, raw_ran: CMatrix, n: int, tol: TolPolicy) -> tu
         return Subspace.empty(n), np.zeros((n, 0), dtype=np.complex128)
     q = nk.orthonormalize(raw_dom, tol)
     if q.dim != raw_dom.shape[1]:
-        raise ValueError("raw domain frame is rank deficient")
+        raise NumericalFailure("raw domain frame is rank deficient")
     coeff = q.basis.conj().T @ raw_dom
     return q, raw_ran @ nk.inv(coeff, tol)
 

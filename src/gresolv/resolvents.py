@@ -19,10 +19,10 @@ from . import numkernel as nk
 from .errors import (NotContraction, NumericalFailure, PointExcluded, Singular,
                      SingularSystem)
 from .extensions import (ExitSpaceModel, PartialMap, BlockParam,
-                         compressed_extension, is_admissible,
+                         compressed_extension, forbidden_operator, is_admissible,
                          neumann_extension, neumann_parameter)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
-from .operators import (INFINITY, IsometryOp, PartialOperator, SymmetricOp,
+from .operators import (IsometryOp, PartialOperator, SymmetricOp,
                         defect_subspaces, orthogonal_extension, parameter_frames)
 
 
@@ -163,13 +163,6 @@ class ResolventModel:
         return cls(v.ambient_dim, "isometric", "direct-sum", v, ev)
 
     @classmethod
-    def from_anchored(cls, v: IsometryOp, param: ContractionParam, z0: complex,
-                      tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
-        def ev(point, boundary_ok):
-            return anchored_resolvent(v, param, z0, point, tol, boundary_ok)
-        return cls(v.ambient_dim, "isometric", "anchored", v, ev)
-
-    @classmethod
     def from_extension_family(cls, a: SymmetricOp, param: ContractionParam,
                               anchor: complex,
                               tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
@@ -184,6 +177,15 @@ class ResolventModel:
         def ev(point, boundary_ok):
             return dilation_resolvent(model, point, tol)
         return cls(model.inner_dim, side, "dilation", model.embeds, ev)
+
+
+def _solve_at(point: complex, m: CMatrix, b: CMatrix, tol: TolPolicy) -> CMatrix:
+    """``nk.solve`` for a system set up at a point; a singular system is
+    reported as ``SingularSystem`` at that point."""
+    try:
+        return nk.solve(m, b, tol)
+    except Singular as exc:
+        raise SingularSystem(point, exc.smallest_sv) from exc
 
 
 def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool, tol: TolPolicy,
@@ -202,10 +204,7 @@ def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool, tol: TolPolicy,
     if abs(zeta) > 1.0:
         inner = _disk_resolvent(n, 1.0 / np.conj(zeta), boundary_ok, tol, matrix_at)
         return np.eye(n) - inner.conj().T
-    try:
-        return nk.solve(np.eye(n) - zeta * matrix_at(zeta), np.eye(n), tol)
-    except Singular as exc:
-        raise SingularSystem(zeta, exc.smallest_sv) from exc
+    return _solve_at(zeta, np.eye(n) - zeta * matrix_at(zeta), np.eye(n), tol)
 
 
 def direct_sum_resolvent(v: IsometryOp, param: ContractionParam, zeta: complex,
@@ -243,11 +242,7 @@ def dilation_resolvent(model: ExitSpaceModel, point: complex,
     eye = np.eye(total, dtype=np.complex128)
     system = eye - point * model.big_op if model.kind == "unitary" \
         else model.big_op - point * eye
-    try:
-        big = nk.solve(system, eye, tol)
-    except Singular as exc:
-        raise SingularSystem(point, exc.smallest_sv) from exc
-    return big[:n, :n]
+    return _solve_at(point, system, eye, tol)[:n, :n]
 
 
 def recover_parameter(r: ResolventModel, zeta: complex,
@@ -266,8 +261,7 @@ def recover_parameter(r: ResolventModel, zeta: complex,
 def recovered_parameter_family(r: ResolventModel, tol: TolPolicy = DEFAULT_TOL) -> ContractionParam:
     """The recovered parameter as an evaluable family (limit taken at 0)."""
     v = r.operator
-    n0 = defect_subspaces(v, 0.0, tol).n_space
-    ninf = defect_subspaces(v, INFINITY, tol).n_space
+    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
 
     def fn(zeta: complex) -> CMatrix:
         if zeta == 0:
@@ -291,10 +285,7 @@ def recover_anchored_parameter(r: ResolventModel, z0: complex, zeta: complex,
         raise PointExcluded("recovery needs an interior point distinct from 0")
     n = r.ambient_dim
     src, dst = (pair.n_space for pair in parameter_frames(r.operator, z0, tol))
-    try:
-        t_full = (np.eye(n) - nk.inv(r(zeta), tol)) / zeta
-    except Singular as exc:
-        raise SingularSystem(zeta, exc.smallest_sv) from exc
+    t_full = (np.eye(n) - _solve_at(zeta, r(zeta), np.eye(n), tol)) / zeta
     if z0 == 0:
         plus = t_full
     else:
@@ -447,10 +438,7 @@ def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex
     ext, _ = neumann_extension(a, z, tmap, tol, validate=validate)
     if not ext.is_everywhere_defined:
         raise NumericalFailure("full-defect parameter produced a partial extension")
-    try:
-        return nk.solve(ext.full_matrix() - lam * np.eye(n), np.eye(n), tol)
-    except Singular as exc:
-        raise SingularSystem(lam, exc.smallest_sv) from exc
+    return _solve_at(lam, ext.full_matrix() - lam * np.eye(n), np.eye(n), tol)
 
 
 def generating_extension(r: ResolventModel, lam: complex,
@@ -458,10 +446,7 @@ def generating_extension(r: ResolventModel, lam: complex,
     """The extension family value R(lam)^{-1} + lam E as an operator record."""
     lam = complex(lam)
     n = r.ambient_dim
-    try:
-        mat = nk.inv(r(lam), tol) + lam * np.eye(n)
-    except Singular as exc:
-        raise SingularSystem(lam, exc.smallest_sv) from exc
+    mat = _solve_at(lam, r(lam), np.eye(n), tol) + lam * np.eye(n)
     return PartialOperator(n, Subspace.full(n), mat)
 
 
@@ -481,10 +466,7 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
     # Cayley block computed without forming the extension family explicitly:
     # stays well conditioned even far out on the ray
     core = np.eye(n) + (lam - anchor) * r_val
-    try:
-        cayley = np.eye(n) + (anchor - np.conj(anchor)) * nk.solve(core, r_val, tol)
-    except Singular as exc:
-        raise SingularSystem(lam, exc.smallest_sv) from exc
+    cayley = np.eye(n) + (anchor - np.conj(anchor)) * _solve_at(lam, core, r_val, tol)
     src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
     image = cayley @ src.basis
     coords = dst.basis.conj().T @ image
@@ -506,12 +488,11 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
 
 
 def defect_block_family(r: ResolventModel, a: SymmetricOp, anchor: complex,
-                        tol: TolPolicy = DEFAULT_TOL,
-                        validate: bool = False) -> ContractionParam:
+                        tol: TolPolicy = DEFAULT_TOL) -> ContractionParam:
     """The defect-block family of a resolvent model as an evaluable parameter."""
     src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
     return ContractionParam.callback(
-        src, dst, lambda lam: defect_block(r, a, anchor, lam, tol, validate=validate),
+        src, dst, lambda lam: defect_block(r, a, anchor, lam, tol, validate=False),
         anchor=anchor)
 
 
@@ -540,10 +521,7 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
         raise NumericalFailure("domain and defect do not span the space")
     a_ext = raw_img @ nk.solve(raw_dom, np.eye(n), tol)
     eye = np.eye(n)
-    try:
-        resolv = nk.solve(a_ext - lam * eye, eye, tol)
-    except Singular as exc:
-        raise SingularSystem(lam, exc.smallest_sv) from exc
+    resolv = _solve_at(lam, a_ext - lam * eye, eye, tol)
     skew = ((lam - np.conj(z)) / (z - np.conj(z))) * (nk.projector(nz) @ (a_ext - z * eye) @ resolv)
     factor = (lam - z) / (lam - np.conj(z))
     coords = factor * (nz.basis.conj().T @ skew @ nzbar.basis)
@@ -643,8 +621,6 @@ def admissible_class_check(param: ContractionParam, a: SymmetricOp, anchor: comp
     constant and affine forms the limit is closed-form and the verdict exact;
     callbacks are sampled along the ray and flagged approximate.
     """
-    from .extensions import forbidden_operator
-
     x = forbidden_operator(a, anchor, tol)
     if x.dim == 0:
         return ClassVerdict(True, True, "dense domain, every family is admissible")
@@ -655,10 +631,8 @@ def admissible_class_check(param: ContractionParam, a: SymmetricOp, anchor: comp
         common = nk.intersect(param.src, x.src, tol)
         if common.dim == 0:
             return ClassVerdict(True, True, "no overlap with the forbidden domain")
-        diff = (limit_map.ambient() - x.ambient()) @ common.basis
-        s = np.linalg.svd(diff, compute_uv=False)
-        ok = bool(s[-1] > tol.threshold(max(float(s[0]), 1.0), n))
-        return ClassVerdict(ok, True, f"limit separation {float(s[-1]):.3e}")
+        ok, sigma = nk.injective((limit_map.ambient() - x.ambient()) @ common.basis, n, tol)
+        return ClassVerdict(ok, True, f"limit separation {sigma:.3e}")
 
     # sampled verdict for callbacks: locate the best candidate for a violating
     # direction at the far end of the ray and track it backwards

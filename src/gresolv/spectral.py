@@ -18,7 +18,7 @@ from .errors import (InternalDisagreement, NotRegularType, NumericalFailure,
                      PointExcluded, PreconditionViolated, SingularSystem)
 from .extensions import ExitSpaceModel, PartialMap, neumann_extension
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
-from .operators import (INFINITY, DefectPair, IsometryOp, PartialOperator, SymmetricOp,
+from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp,
                         defect_subspaces, is_regular_type, orthogonal_extension,
                         parameter_frames)
 from .resolvents import ContractionParam, ResolventModel
@@ -260,21 +260,16 @@ def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex,
     zeta = complex(zeta)
     c = nk.as_cmatrix(c)
     w = comparison_map(v, zeta, tol)
-    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
+    pair0, pair_inf = parameter_frames(v, 0.0, tol)
+    n0, ninf = pair0.n_space, pair_inf.n_space
     w_coords = ninf.basis.conj().T @ w.matrix
     if c.shape != w_coords.shape:
         raise ValueError(f"parameter shape {c.shape} does not match defects {w_coords.shape}")
-    diff = c - w_coords
-    if diff.size:
-        s = np.linalg.svd(diff, compute_uv=False)
-        margin = float(s[-1])
-        eigen = margin <= GAP_GATE
-        onto_diff = margin > GAP_GATE
-    else:
-        margin, eigen, onto_diff = np.inf, False, True
+    margin = _margin(c - w_coords)
+    eigen = margin <= GAP_GATE
 
     m_zeta = defect_subspaces(v, zeta, tol).m_space
-    minf = defect_subspaces(v, INFINITY, tol).m_space
+    minf = pair_inf.m_space
     cover_mat = minf.basis.conj().T @ m_zeta.basis
     if cover_mat.size:
         s_cover = np.linalg.svd(cover_mat, compute_uv=False)
@@ -293,7 +288,7 @@ def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex,
     if direct != eigen:
         raise InternalDisagreement(
             f"kernel margin {margin:.3e} vs spectrum distance {dist:.3e}")
-    return GapCriteria(eigen, bool(onto_diff and covers), {
+    return GapCriteria(eigen, bool(not eigen and covers), {
         "kernel_margin": margin,
         "cover_margin": cover_margin,
         "spectrum_distance": dist,
@@ -352,7 +347,7 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
 
     def margin_at(point: complex, value: CMatrix) -> float:
         w = _anchored_gap_map(side, point)
-        return _margin(value, side.dst.n_space.basis.conj().T @ w.matrix)
+        return _margin(value - side.dst.n_space.basis.conj().T @ w.matrix)
 
     records = []
     grid = region.grid(grid_size)
@@ -366,7 +361,7 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
         cov = side.dst.m_space.basis.conj().T @ m_img.basis
         if cov.shape[0] != cov.shape[1]:
             raise PreconditionViolated(f"shifted ranges do not balance at {x}")
-        covering = float(np.linalg.svd(cov, compute_uv=False)[-1]) if cov.size else np.inf
+        covering = _margin(cov)
         if covering <= GAP_GATE:
             raise PreconditionViolated(f"range covering fails at {x}")
         value = param(point)
@@ -400,11 +395,11 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
                      param.kind in ("constant", "affine"), atoms, atoms_inside)
 
 
-def _margin(value: CMatrix, w_coords: CMatrix) -> float:
-    diff = value - w_coords
-    if diff.size == 0:
+def _margin(m: CMatrix) -> float:
+    """Smallest singular value; +inf for an empty matrix."""
+    if m.size == 0:
         return np.inf
-    return float(np.linalg.svd(diff, compute_uv=False)[-1])
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
 def _golden_min(gfun, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
@@ -496,11 +491,7 @@ def decomposition_check(v: IsometryOp, zeta: complex,
     results = {}
     for name, frame in (("dom", v.dom.basis), ("ran", v.ran_basis)):
         stacked = np.hstack([frame, n_zeta.basis])
-        if stacked.shape[1] != n:
-            results[name] = (False, 0.0)
-            continue
-        s = np.linalg.svd(stacked, compute_uv=False)
-        results[name] = (bool(s[-1] > tol.threshold(max(float(s[0]), 1.0), n)), float(s[-1]))
+        results[name] = nk.injective(stacked, n, tol) if stacked.shape[1] == n else (False, 0.0)
     return DecompositionCheck(results["dom"][0], results["ran"][0],
                               {"dom_margin": results["dom"][1],
                                "ran_margin": results["ran"][1]})

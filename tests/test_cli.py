@@ -1,6 +1,7 @@
 """Instance file round trips, report determinism, command exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -210,3 +211,45 @@ def test_numerical_failure_exits_with_code_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", failing_suite)
     assert cli.main(["verify", str(path)]) == 2
     assert "error: identity violated" in capsys.readouterr().err
+
+
+#: edits of a valid instance object, keyed by the field the parse error names
+MALFORMED = {
+    "parameter": lambda obj: {**obj, "parameter": [1]},
+    "parameter.form": lambda obj: {**obj, "parameter": {
+        key: value for key, value in obj["parameter"].items() if key != "form"}},
+    "parameter.value": lambda obj: {**obj, "parameter": {"form": "constant"}},
+    "exit": lambda obj: {**obj, "exit": [1]},
+    "instance": lambda obj: [obj],
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED)
+def test_malformed_instance_rejected_with_code_2(tmp_path, field):
+    path = tmp_path / "inst.json"
+    cli.save_instance(cli.generate_instance("isometric", 3, 1, 1, seed=2), path)
+    edited = MALFORMED[field](json.loads(path.read_text()))
+    path.write_text(json.dumps(edited), encoding="utf-8")
+    with pytest.raises(cli.ParseError, match=f"^{re.escape(field)}:"):
+        cli.load_instance(path)
+    assert cli.main(["verify", str(path), "--suite", "gap"]) == 2
+
+
+def test_verify_builds_one_model_per_run(tmp_path, monkeypatch):
+    paths = []
+    for kind in ("isometric", "symmetric"):
+        paths.append(tmp_path / f"{kind}.json")
+        cli.save_instance(cli.generate_instance(kind, 4, 2, 2, seed=8), paths[-1])
+    builds = []
+    for name in ("exit_space_extension", "unitary_exit_extension"):
+        def spy(*args, _real=getattr(cli, name), **kwargs):
+            builds.append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    for path in paths:
+        builds.clear()
+        assert cli.main(["verify", str(path), "--suite", "all"]) == 0
+        assert len(builds) == 1
+        builds.clear()
+        assert cli.main(["verify", str(path), "--suite", "gap"]) == 0
+        assert builds == []

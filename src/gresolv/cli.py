@@ -540,6 +540,12 @@ def cmd_gap(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gresolv",
@@ -568,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_res = sub.add_parser("resolvent", help="sample the model resolvent")
     p_res.add_argument("instance")
-    p_res.add_argument("--grid", type=int, default=20)
+    p_res.add_argument("--grid", type=_positive_int, default=20)
     p_res.add_argument("--out", default=None)
     p_res.set_defaults(func=cmd_resolvent)
 
@@ -581,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("instance")
     p_gap.add_argument("--region", type=float, nargs=2, required=True,
                        metavar=("LO", "HI"))
-    p_gap.add_argument("--grid", type=int, default=64)
+    p_gap.add_argument("--grid", type=_positive_int, default=64)
     p_gap.add_argument("--out", default=None)
     p_gap.set_defaults(func=cmd_gap)
     return parser

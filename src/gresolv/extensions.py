@@ -17,8 +17,8 @@ from . import numkernel as nk
 from .errors import (InternalDisagreement, NotAdmissible, NotContraction,
                      NumericalFailure, T22NotAdmissible)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
-from .operators import (IsometryOp, PartialOperator, SymmetricOp, _transport,
-                        cayley_transform, defect_subspaces, parameter_frames)
+from .operators import (IsometryOp, PartialOperator, SymmetricOp, _memoized, _transport,
+                        cayley_transform, parameter_frames)
 
 
 @dataclass(frozen=True)
@@ -155,21 +155,24 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
     """
     if z.imag == 0:
         raise ValueError("the point must be non-real")
-    n = a.ambient_dim
-    ortho = nk.orthogonal_complement(a.dom, tol)
-    if ortho.dim == 0:
-        return PartialMap.empty(n)
-    p_src, p_dst = (nk.projector(pair.n_space) for pair in parameter_frames(a, z, tol))
-    shadow = p_src @ ortho.basis
-    src = nk.orthonormalize(shadow, tol)
-    if src.dim != ortho.dim:
-        raise NumericalFailure("projection of the domain complement lost rank")
-    lift, *_ = np.linalg.lstsq(shadow, src.basis, rcond=None)
-    matrix = p_dst @ ortho.basis @ lift
-    gram = matrix.conj().T @ matrix
-    if nk.op_norm(gram - np.eye(src.dim)) > 1e-10:
-        raise NumericalFailure("forbidden operator failed its isometry check")
-    return PartialMap(src, n, matrix)
+
+    def build():
+        n = a.ambient_dim
+        ortho = nk.orthogonal_complement(a.dom, tol)
+        if ortho.dim == 0:
+            return PartialMap.empty(n)
+        p_src, p_dst = (nk.projector(pair.n_space) for pair in parameter_frames(a, z, tol))
+        shadow = p_src @ ortho.basis
+        src = nk.orthonormalize(shadow, tol)
+        if src.dim != ortho.dim:
+            raise NumericalFailure("projection of the domain complement lost rank")
+        lift, *_ = np.linalg.lstsq(shadow, src.basis, rcond=None)
+        matrix = p_dst @ ortho.basis @ lift
+        gram = matrix.conj().T @ matrix
+        if nk.op_norm(gram - np.eye(src.dim)) > 1e-10:
+            raise NumericalFailure("forbidden operator failed its isometry check")
+        return PartialMap(src, n, matrix)
+    return _memoized(a, "forbidden", z, tol, build)
 
 
 def forbidden_lift(a: SymmetricOp, z: complex, x: PartialMap,
@@ -288,7 +291,7 @@ def neumann_parameter(b: PartialOperator, a: SymmetricOp, z: complex,
     n = a.ambient_dim
     shifted = b.action - z * b.dom.basis
     rng = nk.orthonormalize(shifted, tol)
-    src = nk.intersect(defect_subspaces(a, z, tol).n_space, rng, tol)
+    src = nk.intersect(parameter_frames(a, z, tol)[0].n_space, rng, tol)
     if src.dim == 0:
         return PartialMap.empty(n)
     sol, *_ = np.linalg.lstsq(shifted, src.basis, rcond=None)

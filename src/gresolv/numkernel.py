@@ -52,10 +52,10 @@ class TolPolicy:
     rank_rel: float | None = None
 
     def __post_init__(self):
-        if self.abs_floor < 0:
-            raise ValueError("abs_floor must be nonnegative")
-        if self.rank_rel is not None and self.rank_rel < 0:
-            raise ValueError("rank_rel must be nonnegative")
+        if not (np.isfinite(self.abs_floor) and self.abs_floor >= 0):
+            raise ValueError("abs_floor must be finite and nonnegative")
+        if self.rank_rel is not None and not (np.isfinite(self.rank_rel) and self.rank_rel >= 0):
+            raise ValueError("rank_rel must be finite and nonnegative")
 
     def rel_factor(self, n: int) -> float:
         return self.rank_rel if self.rank_rel is not None else 64.0 * max(n, 1) * _EPS

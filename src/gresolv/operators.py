@@ -40,7 +40,8 @@ class PartialOperator:
     """A linear operator given by an orthonormal domain frame and its images.
 
     The map sends ``dom.basis @ x`` to ``action @ x``.  No structural
-    constraint is imposed; subclasses and constructors add those.
+    constraint is imposed; subclasses and constructors add those.  Values are
+    immutable, and the anchor-level builders memoize their results on them.
     """
 
     ambient_dim: int
@@ -52,6 +53,7 @@ class PartialOperator:
             raise ValueError("domain lives in a different ambient space")
         if self.action.shape != (self.ambient_dim, self.dom.dim):
             raise ValueError(f"action shape {self.action.shape} does not match domain")
+        object.__setattr__(self, "_memo", {})
 
     def ambient_partial(self) -> CMatrix:
         """The everywhere-defined matrix acting as the operator on dom and 0 on dom^perp."""
@@ -142,6 +144,24 @@ class FullContraction:
         return cls(matrix, nk.op_norm(matrix))
 
 
+def _read_only(value):
+    """Mark every array reachable through tuples and attributes read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    for item in value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values():
+        _read_only(item)
+    return value
+
+
+def _memoized(op: PartialOperator, what: str, point, tol: TolPolicy, build):
+    """``build()``, run once per (what, point, tol) and kept on ``op`` with its
+    arrays read-only; a build that raises stores nothing."""
+    key = (what, point if point is INFINITY else complex(point), tol)
+    if key not in op._memo:
+        op._memo[key] = _read_only(build())
+    return op._memo[key]
+
+
 def defect_subspaces(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) -> DefectPair:
     """Defect pair of an isometric or symmetric operator at a point.
 
@@ -168,11 +188,13 @@ def parameter_frames(op: PartialOperator, anchor,
     An isometry anchored at z0 partners with 1/conj(z0) (``INFINITY`` when
     z0 = 0); a symmetric operator anchored at z partners with conj(z).
     """
-    if isinstance(op, IsometryOp):
-        partner = INFINITY if anchor == 0 else 1.0 / np.conj(anchor)
-    else:
-        partner = np.conj(anchor)
-    return defect_subspaces(op, anchor, tol), defect_subspaces(op, partner, tol)
+    def build():
+        if isinstance(op, IsometryOp):
+            partner = INFINITY if anchor == 0 else 1.0 / np.conj(anchor)
+        else:
+            partner = np.conj(anchor)
+        return defect_subspaces(op, anchor, tol), defect_subspaces(op, partner, tol)
+    return _memoized(op, "frames", anchor, tol, build)
 
 
 def _transport(raw_dom: CMatrix, raw_ran: CMatrix, n: int, tol: TolPolicy) -> tuple[Subspace, CMatrix]:
@@ -204,9 +226,11 @@ def moebius_transform(v: IsometryOp, z: complex, direction: str = "forward",
         return moebius_transform(v, -z, "forward", tol)
     if direction != "forward":
         raise ValueError(f"unknown direction {direction!r}")
-    d, r = v.dom.basis, v.ran_basis
-    q, images = _transport(d - z * r, r - np.conj(z) * d, v.ambient_dim, tol)
-    return IsometryOp(v.ambient_dim, q, nk.symmetric_orthogonalize(images))
+    def build():
+        d, r = v.dom.basis, v.ran_basis
+        q, images = _transport(d - z * r, r - np.conj(z) * d, v.ambient_dim, tol)
+        return IsometryOp(v.ambient_dim, q, nk.symmetric_orthogonalize(images))
+    return _memoized(v, "moebius", z, tol, build)
 
 
 def cayley_transform(op: PartialOperator, z: complex, direction: str = "forward",
@@ -223,9 +247,11 @@ def cayley_transform(op: PartialOperator, z: complex, direction: str = "forward"
     if direction == "forward":
         if not isinstance(op, SymmetricOp):
             raise TypeError("forward transform expects a symmetric operator")
-        d, a = op.dom.basis, op.action
-        q, images = _transport(a - z * d, a - np.conj(z) * d, n, tol)
-        return IsometryOp(n, q, nk.symmetric_orthogonalize(images))
+        def build():
+            d, a = op.dom.basis, op.action
+            q, images = _transport(a - z * d, a - np.conj(z) * d, n, tol)
+            return IsometryOp(n, q, nk.symmetric_orthogonalize(images))
+        return _memoized(op, "cayley", z, tol, build)
     if direction != "inverse":
         raise ValueError(f"unknown direction {direction!r}")
     if not isinstance(op, IsometryOp):

@@ -246,7 +246,8 @@ def dilation_resolvent(model: ExitSpaceModel, point: complex,
     eye = np.eye(total, dtype=np.complex128)
     system = eye - point * model.big_op if model.kind == "unitary" \
         else model.big_op - point * eye
-    return _solve_at(point, system, eye, tol)[:n, :n]
+    # only the first n columns of the inverse; the copy owns no larger buffer
+    return _solve_at(point, system, eye[:, :n], tol)[:n].copy()
 
 
 def recover_parameter(r: ResolventModel, zeta: complex,

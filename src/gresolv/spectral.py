@@ -89,6 +89,8 @@ class ArcSpec:
 
     def grid(self, count: int) -> np.ndarray:
         """Midpoint grid staying inside the open region."""
+        if count < 1:
+            raise ValueError(f"grid count must be positive, got {count}")
         step = (self.hi - self.lo) / count
         return self.lo + step * (np.arange(count) + 0.5)
 

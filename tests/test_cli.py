@@ -277,3 +277,24 @@ def test_verify_builds_one_model_per_run(tmp_path, monkeypatch):
         builds.clear()
         assert cli.main(["verify", str(path), "--suite", "gap"]) == 0
         assert builds == []
+
+
+def test_gap_grid_must_be_positive(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    cli.save_instance(cli.generate_instance("isometric", 4, 2, 2, seed=4), path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gap", str(path), "--region", "0.5", "2.5", "--grid", "0"])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="grid count"):
+        g.ArcSpec("circle", 0.5, 2.5).grid(0)
+
+
+def test_non_finite_tolerance_rejected(tmp_path):
+    for field in ("abs_floor", "rank_rel"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                g.TolPolicy(**{field: value})
+    path = tmp_path / "inst.json"
+    cli.save_instance(cli.generate_instance("isometric", 4, 2, 2, seed=4), path)
+    assert cli.main(["--rank-rel", "nan", "verify", str(path)]) == 2

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -103,7 +104,9 @@ class InstanceFile:
     parameter: dict | None = None
     seed: int = 0
 
+    @functools.cached_property
     def operator(self):
+        """Built once, so every consumer shares the operator and its anchor memo."""
         sub = Subspace(self.ambient_dim, self.domain_basis)
         if self.kind == "isometric":
             return IsometryOp(self.ambient_dim, sub, self.action_or_range)
@@ -114,7 +117,7 @@ class InstanceFile:
     def model(self, tol: TolPolicy = DEFAULT_TOL) -> ExitSpaceModel | None:
         if self.exit_block is None:
             return None
-        op = self.operator()
+        op = self.operator
         if self.kind == "isometric":
             return unitary_exit_extension(op, self.exit_dim, w_block=self.exit_block, tol=tol)
         frames = exit_frames(op, SymmetricOp.null(self.exit_dim), self.anchor, tol)
@@ -134,7 +137,7 @@ class InstanceFile:
             return None
         par = self.parameter
         src, dst = (pair.n_space for pair in
-                    parameter_frames(self.operator(), self.parameter_anchor(), tol))
+                    parameter_frames(self.operator, self.parameter_anchor(), tol))
         anchor = self.anchor if self.kind == "symmetric" else None
         hint = (dst.dim, src.dim)
         if par["form"] == "constant":
@@ -322,7 +325,7 @@ def _required(model: ExitSpaceModel | None) -> ExitSpaceModel:
 def run_suite(inst: InstanceFile, suite: str, tol: TolPolicy) -> Report:
     report = Report(suite)
     wanted = ("axioms", "oracle", "gap", "limits") if suite == "all" else (suite,)
-    op = inst.operator()
+    op = inst.operator
     # one exit-space model per run, built only when a suite reads it
     model = inst.model(tol) if {"axioms", "oracle", "limits"} & set(wanted) else None
     if "axioms" in wanted:
@@ -355,8 +358,7 @@ def _suite_axioms(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
             return np.eye(inst.ambient_dim, dtype=np.complex128)
         return cayley_transfer(r, z, "sym->iso", point, tol)
 
-    transferred = ResolventModel(inst.ambient_dim, "isometric", "dilation", u,
-                                 transferred_eval)
+    transferred = ResolventModel(inst.ambient_dim, u, transferred_eval)
     axioms = verify_resolvent_axioms(transferred, u, tol=tol)
     for check in axioms.checks:
         report.add(f"axiom-{check.name}", check.passed, check.residual,
@@ -519,13 +521,12 @@ def cmd_spectrum(args) -> int:
 def cmd_gap(args) -> int:
     inst = load_instance(args.instance)
     tol = _tol_from_args(args)
-    op = inst.operator()
     param = inst.parameter_family(tol)
     if param is None:
         raise ParseError("gap reports need a parameter block in the instance")
     kind = "circle" if inst.kind == "isometric" else "line"
     region = ArcSpec(kind, args.region[0], args.region[1])
-    report = gap_report(op, param, inst.parameter_anchor(), region, args.grid, tol)
+    report = gap_report(inst.operator, param, inst.parameter_anchor(), region, args.grid, tol)
     lines = [f"# gap report on {kind} region ({region.lo}, {region.hi})",
              f"verdict: {'analytic' if report.analytic else 'not analytic'}",
              f"refined min margin: {report.refined_min_margin:.6e}"]

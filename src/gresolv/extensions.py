@@ -374,7 +374,6 @@ class ExitFrames:
     """Canonical embedded defect frames of a split operator at one anchor."""
 
     coupled: SymmetricOp
-    exit_op: SymmetricOp
     src_inner: Subspace
     src_exit: Subspace
     dst_inner: Subspace
@@ -399,7 +398,7 @@ def exit_frames(a: SymmetricOp, exit_op: SymmetricOp, z: complex,
     nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z, tol))
     nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z, tol))
     return ExitFrames(
-        coupled, exit_op,
+        coupled,
         Subspace(nm, embed_inner(nz_a.basis, m)), Subspace(nm, embed_exit(nz_e.basis, n)),
         Subspace(nm, embed_inner(nzb_a.basis, m)), Subspace(nm, embed_exit(nzb_e.basis, n)),
     )

@@ -45,17 +45,23 @@ class ContractionParam:
     """A family of contractions between two defect subspaces.
 
     ``form`` is one of ``('constant', K)``, ``('affine', K0, K1)`` or
-    ``('callback', fn)``; coordinates refer to the ``src`` and ``dst`` frames.
-    Constant and affine families are certified non-expanding at construction;
-    callbacks are checked on every call.  When ``anchor`` is set, the family
-    lives on the half-plane of the anchor and the affine variable is the image
-    of the evaluation point under the fractional map onto the disk.
+    ``('callback', fn)``; coordinates refer to the ``src`` and ``dst`` frames
+    (``in_frames`` rewrites them into others).  Constant and affine matrices
+    are checked for shape and norm at construction, callbacks on every call.
+    When ``anchor`` is set, the family lives on the half-plane of the anchor
+    and the affine variable is the image of the point under the fractional map.
     """
 
     src: Subspace
     dst: Subspace
     form: tuple
     anchor: complex | None = None
+
+    def __post_init__(self):
+        shape = (self.dst.dim, self.src.dim)
+        for k in self.form[1:] if self.kind != "callback" else ():
+            if k.shape != shape:
+                raise ValueError(f"parameter shape {k.shape} does not match defects {shape}")
 
     @classmethod
     def constant(cls, src: Subspace, dst: Subspace, k, anchor: complex | None = None):
@@ -97,6 +103,21 @@ class ContractionParam:
         if nk.op_norm(value) > 1.0 + 1e-10:
             raise NotContraction(f"callback value has norm {nk.op_norm(value):.6f}")
         return value
+
+    def in_frames(self, src: Subspace, dst: Subspace) -> "ContractionParam":
+        """The same family in frames ``src`` and ``dst`` of the subspaces of
+        ``self.src`` and ``self.dst``; ``self`` when the frames are equal arrays."""
+        if np.array_equal(src.basis, self.src.basis) and np.array_equal(dst.basis, self.dst.basis):
+            return self
+        from_src = self.src.basis.conj().T @ src.basis
+        into_dst = dst.basis.conj().T @ self.dst.basis
+        for c in (from_src, into_dst):
+            if len(c) != c.shape[1] or nk.op_norm(c.conj().T @ c - np.eye(len(c))) > nk.STRUCT_GATE:
+                raise ValueError("the frames span other subspaces than the parameter's")
+        if self.kind == "callback":
+            return self.callback(src, dst, lambda p: into_dst @ self(p) @ from_src, self.anchor)
+        coords = [into_dst @ k @ from_src for k in self.form[1:]]
+        return getattr(self, self.kind)(src, dst, *coords, self.anchor)
 
     def boundary_limit(self) -> CMatrix | None:
         """Closed-form limit toward the boundary point 1 of the disk variable
@@ -144,11 +165,9 @@ class RaySpec:
 
 @dataclass(frozen=True)
 class ResolventModel:
-    """An evaluable generalized resolvent tagged with its provenance."""
+    """An evaluable generalized resolvent of an operator."""
 
     ambient_dim: int
-    side: str  # 'isometric' | 'symmetric'
-    provenance: str  # 'direct-sum' | 'anchored' | 'extension' | 'dilation'
     operator: PartialOperator
     _eval: Callable[[complex, bool], CMatrix] = field(repr=False)
 
@@ -160,7 +179,7 @@ class ResolventModel:
                         tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
         def ev(point, boundary_ok):
             return direct_sum_resolvent(v, param, point, tol, boundary_ok)
-        return cls(v.ambient_dim, "isometric", "direct-sum", v, ev)
+        return cls(v.ambient_dim, v, ev)
 
     @classmethod
     def from_extension_family(cls, a: SymmetricOp, param: ContractionParam,
@@ -168,15 +187,13 @@ class ResolventModel:
                               tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
         def ev(point, boundary_ok):
             return extension_resolvent(a, param, anchor, point, tol, boundary_ok)
-        return cls(a.ambient_dim, "symmetric", "extension", a, ev)
+        return cls(a.ambient_dim, a, ev)
 
     @classmethod
     def from_dilation(cls, model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
-        side = "isometric" if model.kind == "unitary" else "symmetric"
-
         def ev(point, boundary_ok):
             return dilation_resolvent(model, point, tol)
-        return cls(model.inner_dim, side, "dilation", model.embeds, ev)
+        return cls(model.inner_dim, model.embeds, ev)
 
 
 def _solve_at(point: complex, m: CMatrix, b: CMatrix, tol: TolPolicy) -> CMatrix:
@@ -223,13 +240,10 @@ def anchored_resolvent(v: IsometryOp, param: ContractionParam, z0: complex,
 
     Coincides with ``direct_sum_resolvent`` when z0 = 0.
     """
-    # rewrite values from the parameter's frames into those of ``orthogonal_extension``
-    src, dst = (pair.n_space for pair in parameter_frames(v, z0, tol))
-    into_dst = dst.basis.conj().T @ param.dst.basis
-    from_src = param.src.basis.conj().T @ src.basis
+    param = param.in_frames(*(pair.n_space for pair in parameter_frames(v, z0, tol)))
 
     def matrix_at(point: complex) -> CMatrix:
-        return orthogonal_extension(v, into_dst @ param(point) @ from_src, z0, tol).matrix
+        return orthogonal_extension(v, param(point), z0, tol).matrix
     return _disk_resolvent(v.ambient_dim, zeta, False, tol, matrix_at)
 
 

@@ -194,19 +194,6 @@ class _Side:
             return (1.0 - np.conj(z) * lam) / (lam - z)
         return (lam - np.conj(z)) / (lam - z)
 
-    def in_space_model(self, value: CMatrix) -> ExitSpaceModel | None:
-        """Model of the extension a unitary parameter value defines inside the
-        space; None on the line when that extension is not self-adjoint."""
-        op, z = self.op, self.anchor
-        if self.kind == "circle":
-            ext = orthogonal_extension(op, value, z, self.tol)
-            return ExitSpaceModel(op.ambient_dim, 0, "unitary", ext.matrix, op)
-        tmap = PartialMap.from_coords(self.src.n_space, self.dst.n_space, value)
-        ext, cls = neumann_extension(op, z, tmap, self.tol)
-        if not cls.self_adjoint:
-            return None
-        return ExitSpaceModel(op.ambient_dim, 0, "hermitian", ext.full_matrix(), op)
-
 
 def _anchored_gap_map(side: _Side, lam: complex, pair: DefectPair) -> PartialMap:
     """The comparison map between the parameter frames of a side.
@@ -327,12 +314,20 @@ def in_space_atoms(op: PartialOperator, param: ContractionParam, anchor: complex
     the space; None for other parameters and for non-self-adjoint extensions."""
     if param.kind != "constant":
         return None
-    value = param.form[1]
+    side = _Side.of(op, complex(anchor), tol)
+    src, dst = side.src.n_space, side.dst.n_space
+    value = param.in_frames(src, dst).form[1]
     gram = value.conj().T @ value
     if value.shape[0] != value.shape[1] or nk.op_norm(gram - np.eye(value.shape[1])) > nk.STRUCT_GATE:
         return None
-    model = _Side.of(op, complex(anchor), tol).in_space_model(value)
-    return None if model is None else spectral_measure(model, tol)
+    if side.kind == "circle":
+        kind, big = "unitary", orthogonal_extension(op, value, side.anchor, tol).matrix
+    else:
+        ext, cls = neumann_extension(op, side.anchor, PartialMap.from_coords(src, dst, value), tol)
+        if not cls.self_adjoint:
+            return None
+        kind, big = "hermitian", ext.full_matrix()
+    return spectral_measure(ExitSpaceModel(op.ambient_dim, 0, kind, big, op), tol)
 
 
 def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
@@ -347,6 +342,7 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
     atom-side ground truth and the verdicts are cross-checked.
     """
     side = _Side.of(op, complex(anchor), tol)
+    param = param.in_frames(side.src.n_space, side.dst.n_space)
     if region.kind != side.kind:
         raise ValueError(f"gap regions of this operator are {side.kind} regions")
 

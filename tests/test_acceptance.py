@@ -74,14 +74,14 @@ def test_criterion_3_resolvent_axioms_and_mutations():
         if not rep.all_passed:
             mutations_ok = False
         # scaled mutation: the normalization axiom is the designated failure
-        halved = g.ResolventModel(v.ambient_dim, "isometric", "dilation", v,
+        halved = g.ResolventModel(v.ambient_dim, v,
                                   lambda p, b=False, o=oracle: 0.5 * o(p, b))
         rep_h = g.verify_resolvent_axioms(halved, v, gate=1e-9)
         mutations_ok &= not rep_h.check("normalization-at-zero").passed
         # shifted (argument-dilated) mutation: the domain identity is the
         # designated failure while the normalization stays intact
         if v.dom.dim:
-            shifted = g.ResolventModel(v.ambient_dim, "isometric", "dilation", v,
+            shifted = g.ResolventModel(v.ambient_dim, v,
                                        lambda p, b=False, o=oracle: o(0.9 * p, b))
             rep_s = g.verify_resolvent_axioms(shifted, v, gate=1e-9)
             mutations_ok &= not rep_s.check("domain-identity").passed

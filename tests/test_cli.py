@@ -264,19 +264,37 @@ def test_verify_builds_one_model_per_run(tmp_path, monkeypatch):
     for kind in ("isometric", "symmetric"):
         paths.append(tmp_path / f"{kind}.json")
         cli.save_instance(cli.generate_instance(kind, 4, 2, 2, seed=8), paths[-1])
-    builds = []
+    builds, reported = [], []
     for name in ("exit_space_extension", "unitary_exit_extension"):
         def spy(*args, _real=getattr(cli, name), **kwargs):
             builds.append(args[0])
             return _real(*args, **kwargs)
         monkeypatch.setattr(cli, name, spy)
+
+    def gap_spy(op, *args, _real=cli.gap_report):
+        reported.append(op)
+        return _real(op, *args)
+    monkeypatch.setattr(cli, "gap_report", gap_spy)
     for path in paths:
         builds.clear()
+        reported.clear()
         assert cli.main(["verify", str(path), "--suite", "all"]) == 0
         assert len(builds) == 1
+        # one operator per instance file: the model and the gap checks share it
+        assert reported and all(op is builds[0] for op in reported)
         builds.clear()
         assert cli.main(["verify", str(path), "--suite", "gap"]) == 0
         assert builds == []
+
+
+def test_parameter_of_wrong_shape_exits_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    cli.save_instance(cli.generate_instance("isometric", 4, 2, 1, seed=3), path)
+    obj = json.loads(path.read_text())
+    obj["parameter"] = {"form": "affine", "k0": [[[0, 1]]], "k1": [[[0, 0]]], "z0": [0, 0]}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert cli.main(["gap", str(path), "--region", "0.3", "2.5", "--grid", "4"]) == 2
+    assert "parameter shape (1, 1) does not match defects (2, 2)" in capsys.readouterr().err
 
 
 def test_gap_grid_must_be_positive(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gresolv as g
 import gresolv.numkernel as nk
@@ -29,7 +31,7 @@ def sym_param(a, anchor, fn=None, constant=None):
 
 
 def identity_model(v):
-    return g.ResolventModel(v.ambient_dim, "isometric", "dilation", v,
+    return g.ResolventModel(v.ambient_dim, v,
                             lambda p, b=False: np.eye(v.ambient_dim, dtype=complex))
 
 
@@ -141,6 +143,122 @@ def test_parameter_coordinates_read_in_its_own_frames():
         for zeta in (0.3j, 0.5, 2.0 - 1j):
             np.testing.assert_allclose(g.anchored_resolvent(v, turned, z0, zeta),
                                        g.anchored_resolvent(v, param, z0, zeta), atol=1e-10)
+    # the atoms, the gap reports and the class verdict read it in its own frames too
+    rng = np.random.default_rng(3)
+    v = g.IsometryOp.random(4, 2, rng)
+    param = g.ContractionParam.constant(*_frames(v, 0.0), nk.haar_unitary(2, rng))
+    turned = _rotated(param, np.random.default_rng(11))
+    _same_consumers(v, param, turned, 0.0, [(1.0, 1.3), (2.0, 4.0)], 32)
+    atom_arc = g.ArcSpec("circle", 1.0, 1.3)
+    assert not g.gap_report(v, turned, 0.0, atom_arc).analytic
+    np.testing.assert_allclose(g.spectral.in_space_atoms(v, turned, 0.0).locations(),
+                               [1.118, 1.585, 4.234, 5.012], atol=5e-4)
+    a = g.SymmetricOp.random(5, 2, np.random.default_rng(5))
+    src, dst = _frames(a, 1j)
+    tmap = g.build_admissible_isometry(a, 1j, src, dst, seed=4)
+    param = g.ContractionParam.constant(src, dst, dst.basis.conj().T @ tmap.matrix, 1j)
+    _same_consumers(a, param, _rotated(param, np.random.default_rng(11)), 1j,
+                    [(-4.5, -3.5), (1.5, 10.0)], 32)
+
+
+def _frames(op, anchor):
+    return tuple(pair.n_space for pair in g.operators.parameter_frames(op, anchor))
+
+
+def _as_turned(family, turned):
+    """Reference rewrite of ``family`` into the frames of ``turned``, which
+    span the same two subspaces."""
+    q_src = family.src.basis.conj().T @ turned.src.basis
+    q_dst = family.dst.basis.conj().T @ turned.dst.basis
+    return g.ContractionParam.callback(
+        turned.src, turned.dst, lambda point: q_dst.conj().T @ family(point) @ q_src,
+        family.anchor)
+
+
+def _gap_outcome(*args):
+    try:
+        return g.gap_report(*args)
+    except g.GresolvError as exc:
+        return type(exc)
+
+
+def _same_consumers(op, param, turned, anchor, regions, grid):
+    """``param`` and ``turned``, the same map in two pairs of frames, get the
+    same atoms, gap verdicts and record margins, and the same class verdict
+    and resolvent values."""
+    atoms, turned_atoms = (g.spectral.in_space_atoms(op, p, anchor) for p in (param, turned))
+    assert (atoms is None) == (turned_atoms is None)
+    if atoms is not None:
+        locs = atoms.locations()
+        np.testing.assert_allclose(turned_atoms.locations(), locs,
+                                   atol=1e-9 * max(1.0, np.abs(locs).max()))
+    kind = "circle" if isinstance(op, g.IsometryOp) else "line"
+    for lo, hi in regions:
+        expect, got = (_gap_outcome(op, p, anchor, g.ArcSpec(kind, lo, hi), grid)
+                       for p in (param, turned))
+        if isinstance(expect, type) or isinstance(got, type):
+            assert got == expect
+            continue
+        assert got.analytic == expect.analytic
+        np.testing.assert_allclose([r.margin for r in got.records],
+                                   [r.margin for r in expect.records], rtol=0, atol=1e-10)
+    if kind == "circle":
+        for zeta in (0.3j, 0.5, 2.0 - 1j):
+            value = g.direct_sum_resolvent(op, param, zeta)
+            np.testing.assert_allclose(g.direct_sum_resolvent(op, turned, zeta), value,
+                                       atol=1e-9 * max(1.0, nk.op_norm(value)))
+        return
+    ray = g.RaySpec.imaginary(anchor)
+    assert g.admissible_class_check(turned, op, anchor, ray).admissible == \
+        g.admissible_class_check(param, op, anchor, ray).admissible
+    for lam in (0.5 + 1j, 2 - 1j):
+        value = g.extension_resolvent(op, param, anchor, lam)
+        np.testing.assert_allclose(g.extension_resolvent(op, turned, anchor, lam), value,
+                                   atol=1e-9 * max(1.0, nk.op_norm(value)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rotated_frames_change_no_consumer(seed):
+    # both sides up to the stated scale n, m <= 16; the rotated callbacks are
+    # checked against the dilation oracle
+    rng = np.random.default_rng(seed)
+    v, model = random_isometric_model(rng, n_max=16, m_max=16)
+    src, dst = _frames(v, 0.0)
+    param = g.ContractionParam.constant(src, dst, nk.haar_unitary(src.dim, rng))
+    turned = _rotated(param, rng)
+    _same_consumers(v, param, turned, 0.0, [(0.3, 2.5), (3.5, 6.0)], 16)
+    oracle = g.ResolventModel.from_dilation(model)
+    family = _as_turned(recovered_parameter_family(oracle), turned)
+    for zeta in (0.3j, 0.5, 2.0 - 1j):
+        np.testing.assert_allclose(g.direct_sum_resolvent(v, family, zeta), oracle(zeta),
+                                   atol=1e-9)
+        np.testing.assert_allclose(g.anchored_resolvent(v, family, 0.0, zeta), oracle(zeta),
+                                   atol=1e-9)
+    a, model, _ = random_symmetric_model(rng, n_max=16, m_max=16)
+    src, dst = _frames(a, 1j)
+    tmap = g.build_admissible_isometry(a, 1j, src, dst, int(rng.integers(0, 2**63 - 1)))
+    param = g.ContractionParam.constant(src, dst, dst.basis.conj().T @ tmap.matrix, 1j)
+    turned = _rotated(param, rng)
+    _same_consumers(a, param, turned, 1j, [(-1.0, 1.0), (1.5, 4.0)], 16)
+    oracle = g.ResolventModel.from_dilation(model)
+    family = _as_turned(defect_block_family(oracle, a, 1j), turned)
+    for lam in (0.5 + 1j, 2 - 1j):
+        np.testing.assert_allclose(g.extension_resolvent(a, family, 1j, lam), oracle(lam),
+                                   atol=1e-9)
+
+
+def test_frames_of_other_subspaces_rejected(rng):
+    v = g.IsometryOp.random(4, 2, rng)
+    param = g.ContractionParam.constant(*_frames(v, 0.0), nk.haar_unitary(2, rng))
+    assert param.in_frames(param.src, param.dst) is param
+    z0 = 0.3 - 0.2j
+    with pytest.raises(ValueError, match="other subspaces"):
+        g.gap_report(v, param, z0, g.ArcSpec("circle", 0.5, 2.5), 16)
+    with pytest.raises(ValueError, match="other subspaces"):
+        g.spectral.in_space_atoms(v, param, z0)
+    with pytest.raises(ValueError, match="other subspaces"):
+        g.anchored_resolvent(v, param, z0, 0.5)
 
 
 def test_affine_parameter_value_limit_and_bound(rng):
@@ -155,6 +273,8 @@ def test_affine_parameter_value_limit_and_bound(rng):
     np.testing.assert_allclose(param.boundary_limit(), k0 + k1, atol=1e-15)
     with pytest.raises(g.NotContraction):
         g.ContractionParam.affine(src, dst, k0, 3.0 * k1, 1j)
+    with pytest.raises(ValueError, match=r"shape \(2, 1\) does not match defects \(2, 2\)"):
+        g.ContractionParam.affine(src, dst, k0, k1[:, :1], 1j)
 
 
 # ---------------------------------------------------------------- dilation
@@ -237,7 +357,7 @@ def test_axioms_fail_for_identity_resolvent(rng):
 def test_axioms_fail_for_halved_resolvent():
     v, model = flip_dilation_isometric()
     base = g.ResolventModel.from_dilation(model)
-    halved = g.ResolventModel(1, "isometric", "dilation", v,
+    halved = g.ResolventModel(1, v,
                               lambda p, b=False: 0.5 * base(p, b))
     report = g.verify_resolvent_axioms(halved, v)
     assert not report.check("normalization-at-zero").passed
@@ -262,7 +382,7 @@ def test_cayley_transfer_roundtrip(rng):
     for lam in points:
         zeta = (lam - z) / (lam - np.conj(z))
         via = g.cayley_transfer(r_s, z, "sym->iso", zeta)
-        wrapped = g.ResolventModel(a.ambient_dim, "isometric", "dilation", a,
+        wrapped = g.ResolventModel(a.ambient_dim, a,
                                    lambda p, b=False, v=via: v)
         back = g.cayley_transfer(wrapped, z, "iso->sym", lam)
         np.testing.assert_allclose(back, r_s(lam), atol=1e-10)

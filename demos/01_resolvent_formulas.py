@@ -45,7 +45,7 @@ reference = None
 for z0 in (0.0, 0.3 + 0.3j, -0.45j):
     coords = g.recover_anchored_parameter(oracle, z0, zeta)
     ext = g.orthogonal_extension(v, coords, z0)
-    r_val = np.linalg.inv(np.eye(3) - zeta * ext.matrix)
+    r_val = np.linalg.inv(np.eye(3) - zeta * ext)
     if reference is None:
         reference = r_val
     print(f"  anchor {z0!s:<12} -> resolvent corner {r_val[0, 0]:.12f}"

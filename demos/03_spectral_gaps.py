@@ -22,7 +22,7 @@ ninf = g.defect_subspaces(v, g.INFINITY).n_space
 c = g.numkernel.haar_unitary(2, rng)
 param = g.ContractionParam.constant(n0, ninf, c)
 ext = g.orthogonal_extension(v, c, 0.0)
-model = g.ExitSpaceModel(4, 0, "unitary", ext.matrix, v)
+model = g.ExitSpaceModel(4, 0, "unitary", ext, v)
 
 atoms = g.spectral_measure(model)
 print("atoms (angle, trace of weight):")

@@ -10,7 +10,7 @@ from .errors import (FixedPointObstruction, GresolvError, InternalDisagreement,
 from .numkernel import (CMatrix, DEFAULT_TOL, Subspace, TolPolicy, eig_normal,
                         intersect, orthogonal_complement, orthonormalize,
                         projector, solve)
-from .operators import (INFINITY, DefectPair, FullContraction, IsometryOp,
+from .operators import (INFINITY, DefectPair, IsometryOp,
                         PartialOperator, SymmetricOp, cayley_transform,
                         classify_signs, defect_subspaces, is_regular_type,
                         moebius_transform, orthogonal_extension)

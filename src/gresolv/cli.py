@@ -84,8 +84,9 @@ def _m_from_json(rows, shape_hint=None, field: str = "matrix") -> CMatrix:
     except TypeError as exc:
         raise ParseError(f"bad {field} encoding: {exc}") from exc
     if not data:
-        if shape_hint is None:
-            raise ParseError("empty matrix needs a shape hint")
+        # only a shape with no rows is written as []
+        if shape_hint is None or shape_hint[0]:
+            raise ParseError(f"{field}: empty matrix where shape {shape_hint} was expected")
         return np.zeros(shape_hint, dtype=np.complex128)
     return np.array(data, dtype=np.complex128)
 
@@ -140,11 +141,9 @@ class InstanceFile:
                     parameter_frames(self.operator, self.parameter_anchor(), tol))
         anchor = self.anchor if self.kind == "symmetric" else None
         hint = (dst.dim, src.dim)
-        if par["form"] == "constant":
-            return ContractionParam.constant(src, dst,
-                                             _m_from_json(par["value"], hint), anchor)
-        return ContractionParam.affine(src, dst, _m_from_json(par["k0"], hint),
-                                       _m_from_json(par["k1"], hint), anchor)
+        mats = [_m_from_json(par[key], hint, f"parameter.{key}")
+                for key in _PARAM_FORMS[par["form"]]]
+        return getattr(ContractionParam, par["form"])(src, dst, *mats, anchor)
 
     def to_json(self) -> dict:
         n, d = self.ambient_dim, self.domain_basis.shape[1]
@@ -175,6 +174,8 @@ class InstanceFile:
             if obj.get("schema_version") != SCHEMA_VERSION:
                 raise ParseError(f"unsupported schema version {obj.get('schema_version')!r}")
             n = _number(int, obj["ambient_dim"], "ambient_dim")
+            if n < 1:
+                raise ParseError(f"ambient_dim: expected a positive dimension, got {n}")
             d = _number(int, obj["domain_dim"], "domain_dim")
             dom = _m_from_json(obj["domain_basis"], (n, d), "domain_basis")
             act = _m_from_json(obj["action_or_range"], (n, d), "action_or_range")
@@ -282,8 +283,8 @@ def _write_text(path, text: str) -> None:
 def generate_instance(kind: str, n: int, d: int, m: int, seed: int) -> InstanceFile:
     """Random valid instance with an admissible unitary exit block and a
     constant unitary in-space parameter."""
-    if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
+    if n < 1 or not 0 <= d <= n:
+        raise ValueError("need 0 <= d <= n and n >= 1")
     if m < 0:
         raise ValueError("exit dimension must be nonnegative")
     rng = np.random.default_rng(seed)

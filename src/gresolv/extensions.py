@@ -9,16 +9,16 @@ embedded defect frames produced by ``exit_frames``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkernel as nk
-from .errors import (InternalDisagreement, NotAdmissible, NotContraction,
-                     NumericalFailure, T22NotAdmissible)
+from .errors import InternalDisagreement, NotAdmissible, NumericalFailure, T22NotAdmissible
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 from .operators import (IsometryOp, PartialOperator, SymmetricOp, _memoized, _transport,
-                        cayley_transform, parameter_frames)
+                        cayley_transform, parameter_frames, require_nonreal)
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,8 @@ class PartialMap:
     def norm(self) -> float:
         return nk.op_norm(self.matrix)
 
-    def is_isometric(self, gate: float = 1e-8) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
-        return nk.op_norm(gram - np.eye(self.dim)) <= gate
+    def is_isometric(self, gate: float = nk.STRUCT_GATE) -> bool:
+        return nk.isometry_defect(self.matrix) <= gate
 
     @classmethod
     def empty(cls, n: int) -> "PartialMap":
@@ -80,9 +79,8 @@ class BlockParam:
 
     def __post_init__(self):
         t = self.assembled()
-        if nk.op_norm(t) > 1.0 + 1e-10:
-            raise NotContraction(f"assembled block norm {nk.op_norm(t):.6f} exceeds 1")
-        if self.isometry and nk.op_norm(t.conj().T @ t - np.eye(t.shape[1])) > nk.STRUCT_GATE:
+        nk.check_contraction(nk.op_norm(t), "assembled block norm")
+        if self.isometry and nk.isometry_defect(t) > nk.STRUCT_GATE:
             raise ValueError("assembled block is not isometric")
 
     def assembled(self) -> CMatrix:
@@ -118,12 +116,9 @@ class ExitSpaceModel:
         if self.kind not in ("unitary", "hermitian"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         big = self.big_op
-        if self.kind == "unitary":
-            defect = nk.op_norm(big.conj().T @ big - np.eye(n + m))
-        else:
-            defect = nk.op_norm(big - big.conj().T) / max(1.0, nk.op_norm(big))
-        if defect > nk.STRUCT_GATE:
-            raise ValueError(f"big operator fails its {self.kind} test ({defect:.3e})")
+        test = nk.is_unitary if self.kind == "unitary" else nk.is_hermitian
+        if not test(big, nk.STRUCT_GATE):
+            raise ValueError(f"big operator fails its {self.kind} test")
         emb_dom = embed_inner(self.embeds.dom.basis, m)
         emb_img = embed_inner(self.embeds.action, m)
         res = nk.op_norm(big @ emb_dom - emb_img)
@@ -153,8 +148,7 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
     map defined this way is isometric.  Parameters colliding with it produce
     no extension.
     """
-    if z.imag == 0:
-        raise ValueError("the point must be non-real")
+    require_nonreal(z)
 
     def build():
         n = a.ambient_dim
@@ -168,8 +162,7 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
             raise NumericalFailure("projection of the domain complement lost rank")
         lift, *_ = np.linalg.lstsq(shadow, src.basis, rcond=None)
         matrix = p_dst @ ortho.basis @ lift
-        gram = matrix.conj().T @ matrix
-        if nk.op_norm(gram - np.eye(src.dim)) > 1e-10:
+        if nk.isometry_defect(matrix) > nk.BUILT_GATE:
             raise NumericalFailure("forbidden operator failed its isometry check")
         return PartialMap(src, n, matrix)
     return _memoized(a, "forbidden", z, tol, build)
@@ -235,8 +228,7 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
     symmetric extensions, strict contractions give dissipative (Im z < 0) or
     accumulative (Im z > 0) ones.
     """
-    if z.imag == 0:
-        raise ValueError("the anchor must be non-real")
+    require_nonreal(z)
     n = a.ambient_dim
     pair_z, pair_zbar = parameter_frames(a, z, tol)
     if t.dim:
@@ -244,8 +236,7 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
         off_dst = nk.op_norm((np.eye(n) - nk.projector(pair_zbar.n_space)) @ t.matrix)
         if max(off_src, off_dst) > nk.STRUCT_GATE:
             raise ValueError("parameter does not map between the defect subspaces")
-    if t.norm() > 1.0 + 1e-10:
-        raise NotContraction(f"parameter norm {t.norm():.6f} exceeds 1")
+    nk.check_contraction(t.norm(), "parameter norm")
     if not is_admissible(a, z, t, tol):
         raise NotAdmissible("parameter")
     isometric = t.is_isometric()
@@ -354,7 +345,7 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
 
     src = Subspace(n, np.hstack([core.basis, rem_src.basis]))
     result = PartialMap(src, n, np.hstack([corrected, completion]))
-    if not result.is_isometric(1e-10):
+    if not result.is_isometric(nk.BUILT_GATE):
         raise NumericalFailure("constructed map lost its isometry")
     if not is_admissible(a, z, result, tol):
         raise NumericalFailure("constructed map failed the admissibility check")
@@ -379,12 +370,12 @@ class ExitFrames:
     dst_inner: Subspace
     dst_exit: Subspace
 
-    @property
+    @functools.cached_property
     def src(self) -> Subspace:
         n = self.coupled.ambient_dim
         return Subspace(n, np.hstack([self.src_inner.basis, self.src_exit.basis]))
 
-    @property
+    @functools.cached_property
     def dst(self) -> Subspace:
         n = self.coupled.ambient_dim
         return Subspace(n, np.hstack([self.dst_inner.basis, self.dst_exit.basis]))
@@ -458,7 +449,7 @@ def compressed_parameter(a: SymmetricOp, exit_dim: int, z: complex,
     phi_coords = block.t11 + block.t12 @ psi2
     nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z, tol))
     result = PartialMap.from_coords(nz_a, nzb_a, phi_coords)
-    if block.isometry and not result.is_isometric(1e-10):
+    if block.isometry and not result.is_isometric(nk.BUILT_GATE):
         raise NumericalFailure("compression of an isometric block lost its isometry")
     return result
 
@@ -476,8 +467,7 @@ def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: Block
     if exit_op is None:
         exit_op = SymmetricOp.null(exit_dim)
     frames = exit_frames(a, exit_op, z, tol)
-    t = block.assembled()
-    if t.shape[0] != t.shape[1] or nk.op_norm(t.conj().T @ t - np.eye(t.shape[1])) > nk.STRUCT_GATE:
+    if not nk.is_unitary(block.assembled(), nk.STRUCT_GATE):
         raise ValueError("self-adjoint models need a unitary block between full defect spaces")
     tmap = assemble_block_map(frames, block)
     phi = compressed_parameter(a, exit_dim, z, block, tol, exit_op)
@@ -519,7 +509,7 @@ def unitary_exit_extension(v: IsometryOp, exit_dim: int,
     w_block = nk.as_cmatrix(w_block)
     if w_block.shape != (k + m, k + m):
         raise ValueError(f"block shape {w_block.shape} does not match defects ({k + m})")
-    if nk.op_norm(w_block.conj().T @ w_block - np.eye(k + m)) > nk.STRUCT_GATE:
+    if not nk.is_unitary(w_block, nk.STRUCT_GATE):
         raise ValueError("block is not unitary")
     src = np.hstack([embed_inner(n0.basis, m), embed_exit(np.eye(m), n)])
     dst = np.hstack([embed_inner(ninf.basis, m), embed_exit(np.eye(m), n)])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch, Singular
+from .errors import KindMismatch, NotContraction, Singular
 
 CMatrix = np.ndarray
 
@@ -22,6 +22,12 @@ EIG_MERGE_GAP = 1e-8
 
 #: validation gate for "is this frame orthonormal / this matrix unitary" checks
 STRUCT_GATE = 1e-8
+
+#: isometry gate for maps the library builds itself
+BUILT_GATE = 1e-10
+
+#: a norm up to 1 + CONTRACTION_SLACK still counts as a contraction
+CONTRACTION_SLACK = 1e-10
 
 
 def as_cmatrix(entries) -> CMatrix:
@@ -39,6 +45,27 @@ def op_norm(m: CMatrix) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def isometry_defect(m: CMatrix) -> float:
+    """Norm of M* M - E: 0 for a matrix with orthonormal columns (or none)."""
+    return op_norm(m.conj().T @ m - np.eye(m.shape[1]))
+
+
+def is_unitary(m: CMatrix, gate: float) -> bool:
+    """Whether M is square with isometry defect within ``gate``."""
+    return m.shape[0] == m.shape[1] and isometry_defect(m) <= gate
+
+
+def is_hermitian(m: CMatrix, gate: float) -> bool:
+    """Whether M - M* is within ``gate`` relative to max(1, ||M||)."""
+    return op_norm(m - m.conj().T) <= gate * max(1.0, op_norm(m))
+
+
+def check_contraction(norm: float, what: str) -> None:
+    """Raise ``NotContraction`` when a norm exceeds 1 beyond ``CONTRACTION_SLACK``."""
+    if norm > 1.0 + CONTRACTION_SLACK:
+        raise NotContraction(f"{what} {norm:.6f} exceeds 1")
 
 
 @dataclass(frozen=True)
@@ -79,8 +106,7 @@ class Subspace:
         b = self.basis
         if b.shape[0] != self.ambient_dim or b.shape[1] > self.ambient_dim:
             raise ValueError(f"bad frame shape {b.shape} for ambient dim {self.ambient_dim}")
-        gram = b.conj().T @ b
-        if op_norm(gram - np.eye(b.shape[1])) > STRUCT_GATE:
+        if isometry_defect(b) > STRUCT_GATE:
             raise ValueError("frame columns are not orthonormal")
 
     @property
@@ -275,13 +301,13 @@ def eig_normal(m: CMatrix, kind: str, tol: TolPolicy = DEFAULT_TOL) -> list[tupl
         return []
     gate = max(STRUCT_GATE, tol.abs_floor)
     if kind == "hermitian":
-        if op_norm(m - m.conj().T) > gate * max(1.0, op_norm(m)):
+        if not is_hermitian(m, gate):
             raise KindMismatch("matrix is not Hermitian within tolerance")
         pairs = _eig_hermitian(m)
         pairs.sort(key=lambda t: t[0].real)
         return pairs
     if kind == "unitary":
-        if op_norm(m.conj().T @ m - np.eye(n)) > gate:
+        if not is_unitary(m, gate):
             raise KindMismatch("matrix is not unitary within tolerance")
         pairs = _eig_unitary(m)
         pairs.sort(key=lambda t: np.angle(t[0]) % (2 * np.pi))

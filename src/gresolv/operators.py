@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel as nk
-from .errors import FixedPointObstruction, NotContraction, NumericalFailure
+from .errors import FixedPointObstruction, NumericalFailure
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 
 
@@ -81,8 +81,7 @@ class IsometryOp(PartialOperator):
 
     def __post_init__(self):
         super().__post_init__()
-        gram = self.action.conj().T @ self.action
-        if nk.op_norm(gram - np.eye(self.dom.dim)) > nk.STRUCT_GATE:
+        if nk.isometry_defect(self.action) > nk.STRUCT_GATE:
             raise ValueError("image frame is not orthonormal; not an isometry")
 
     @property
@@ -100,8 +99,7 @@ class SymmetricOp(PartialOperator):
 
     def __post_init__(self):
         super().__post_init__()
-        gram = self.dom.basis.conj().T @ self.action
-        if nk.op_norm(gram - gram.conj().T) > nk.STRUCT_GATE * max(1.0, nk.op_norm(gram)):
+        if not nk.is_hermitian(self.dom.basis.conj().T @ self.action, nk.STRUCT_GATE):
             raise ValueError("operator is not symmetric on its domain")
 
     @classmethod
@@ -128,20 +126,10 @@ class DefectPair:
     n_space: Subspace
 
 
-@dataclass(frozen=True)
-class FullContraction:
-    """An everywhere-defined non-expanding operator on C^n."""
-
-    matrix: CMatrix
-    norm_bound: float
-
-    def __post_init__(self):
-        if self.norm_bound > 1.0 + 1e-10:
-            raise NotContraction(f"norm bound {self.norm_bound} exceeds 1")
-
-    @classmethod
-    def of(cls, matrix: CMatrix) -> "FullContraction":
-        return cls(matrix, nk.op_norm(matrix))
+def require_nonreal(z: complex) -> None:
+    """Reject a real anchor: the symmetric-side formulas need a non-real one."""
+    if z.imag == 0:
+        raise ValueError(f"anchor {z} must be non-real")
 
 
 def _read_only(value):
@@ -241,8 +229,7 @@ def cayley_transform(op: PartialOperator, z: complex, direction: str = "forward"
     Inverse: an isometry W with no eigenvalue 1 on its domain maps to the
     symmetric operator sending (W - E) g to (z W - conj(z) E) g.
     """
-    if z.imag == 0:
-        raise ValueError("transform point must be non-real")
+    require_nonreal(z)
     n = op.ambient_dim
     if direction == "forward":
         if not isinstance(op, SymmetricOp):
@@ -256,13 +243,10 @@ def cayley_transform(op: PartialOperator, z: complex, direction: str = "forward"
         raise ValueError(f"unknown direction {direction!r}")
     if not isinstance(op, IsometryOp):
         raise TypeError("inverse transform expects an isometry")
+    if not is_regular_type(op, 1.0, tol)[0]:
+        raise FixedPointObstruction("isometry fixes a non-zero vector; no symmetric inverse")
     d, r = op.dom.basis, op.ran_basis
-    raw = r - d
-    if raw.shape[1]:
-        s = np.linalg.svd(raw, compute_uv=False)
-        if s[-1] <= tol.threshold(s[0] if s[0] > 0 else 1.0, n):
-            raise FixedPointObstruction("isometry fixes a non-zero vector; no symmetric inverse")
-    q, images = _transport(raw, z * r - np.conj(z) * d, n, tol)
+    q, images = _transport(r - d, z * r - np.conj(z) * d, n, tol)
     return SymmetricOp(n, q, images)
 
 
@@ -280,7 +264,7 @@ def is_regular_type(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) ->
 
 
 def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
-                         tol: TolPolicy = DEFAULT_TOL) -> FullContraction:
+                         tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     """Everywhere-defined contraction extending V, parametrized at an anchor z0.
 
     ``c`` is the coordinate matrix of a contraction from the defect space at
@@ -295,12 +279,12 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
     src, dst = (pair.n_space for pair in parameter_frames(v, z0, tol))
     if c.shape != (dst.dim, src.dim):
         raise ValueError(f"parameter shape {c.shape} does not match defects ({dst.dim}, {src.dim})")
-    if nk.op_norm(c) > 1.0 + 1e-10:
-        raise NotContraction(f"parameter norm {nk.op_norm(c):.3e} exceeds 1")
+    nk.check_contraction(nk.op_norm(c), "parameter norm")
     vz = v if z0 == 0 else moebius_transform(v, z0, "forward", tol)
     plus = vz.ambient_partial() + dst.basis @ c @ src.basis.conj().T
     if z0 == 0:
-        return FullContraction.of(plus)
+        nk.check_contraction(nk.op_norm(plus), "extension norm")
+        return plus
     eye = np.eye(n)
     inv_plus = nk.inv(eye + z0 * plus, tol)
     v_c = (plus + np.conj(z0) * eye) @ inv_plus
@@ -309,7 +293,8 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
     res2 = nk.op_norm(plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c, tol)))
     if max(res1, res2) > 1e-10 * max(1.0, nk.op_norm(v_c)):
         raise NumericalFailure(f"extension identities violated (residual {max(res1, res2):.3e})")
-    return FullContraction.of(v_c)
+    nk.check_contraction(nk.op_norm(v_c), "extension norm")
+    return v_c
 
 
 def classify_signs(op: PartialOperator, tol: TolPolicy = DEFAULT_TOL) -> str:

@@ -16,14 +16,14 @@ from typing import Callable
 import numpy as np
 
 from . import numkernel as nk
-from .errors import (NotContraction, NumericalFailure, PointExcluded, Singular,
-                     SingularSystem)
+from .errors import NotContraction, NumericalFailure, PointExcluded, Singular, SingularSystem
 from .extensions import (ExitSpaceModel, PartialMap, BlockParam,
                          compressed_extension, forbidden_operator, is_admissible,
                          neumann_extension, neumann_parameter)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 from .operators import (IsometryOp, PartialOperator, SymmetricOp,
-                        defect_subspaces, orthogonal_extension, parameter_frames)
+                        defect_subspaces, orthogonal_extension, parameter_frames,
+                        require_nonreal)
 
 
 def halfplane_to_disk(lam: complex, anchor: complex) -> complex:
@@ -66,17 +66,13 @@ class ContractionParam:
     @classmethod
     def constant(cls, src: Subspace, dst: Subspace, k, anchor: complex | None = None):
         k = nk.as_cmatrix(k)
-        bound = nk.op_norm(k)
-        if bound > 1.0 + 1e-10:
-            raise NotContraction(f"constant parameter has norm {bound:.6f}")
+        nk.check_contraction(nk.op_norm(k), "constant parameter norm")
         return cls(src, dst, ("constant", k), anchor)
 
     @classmethod
     def affine(cls, src: Subspace, dst: Subspace, k0, k1, anchor: complex | None = None):
         k0, k1 = nk.as_cmatrix(k0), nk.as_cmatrix(k1)
-        bound = nk.op_norm(k0) + nk.op_norm(k1)
-        if bound > 1.0 + 1e-10:
-            raise NotContraction(f"affine parameter norm bound {bound:.6f} exceeds 1")
+        nk.check_contraction(nk.op_norm(k0) + nk.op_norm(k1), "affine parameter norm bound")
         return cls(src, dst, ("affine", k0, k1), anchor)
 
     @classmethod
@@ -100,8 +96,7 @@ class ContractionParam:
         value = nk.as_cmatrix(self.form[1](point))
         if value.shape != (self.dst.dim, self.src.dim):
             raise ValueError(f"callback returned shape {value.shape}")
-        if nk.op_norm(value) > 1.0 + 1e-10:
-            raise NotContraction(f"callback value has norm {nk.op_norm(value):.6f}")
+        nk.check_contraction(nk.op_norm(value), "callback value norm")
         return value
 
     def in_frames(self, src: Subspace, dst: Subspace) -> "ContractionParam":
@@ -111,9 +106,8 @@ class ContractionParam:
             return self
         from_src = self.src.basis.conj().T @ src.basis
         into_dst = dst.basis.conj().T @ self.dst.basis
-        for c in (from_src, into_dst):
-            if len(c) != c.shape[1] or nk.op_norm(c.conj().T @ c - np.eye(len(c))) > nk.STRUCT_GATE:
-                raise ValueError("the frames span other subspaces than the parameter's")
+        if not all(nk.is_unitary(c, nk.STRUCT_GATE) for c in (from_src, into_dst)):
+            raise ValueError("the frames span other subspaces than the parameter's")
         if self.kind == "callback":
             return self.callback(src, dst, lambda p: into_dst @ self(p) @ from_src, self.anchor)
         coords = [into_dst @ k @ from_src for k in self.form[1:]]
@@ -141,8 +135,7 @@ class RaySpec:
     magnitudes: tuple
 
     def __post_init__(self):
-        if self.anchor.imag == 0:
-            raise ValueError("anchor must be non-real")
+        require_nonreal(self.anchor)
         mags = tuple(float(m) for m in self.magnitudes)
         if any(m <= 0 for m in mags) or any(b <= a for a, b in zip(mags, mags[1:])):
             raise ValueError("magnitudes must be positive and increasing")
@@ -243,7 +236,7 @@ def anchored_resolvent(v: IsometryOp, param: ContractionParam, z0: complex,
     param = param.in_frames(*(pair.n_space for pair in parameter_frames(v, z0, tol)))
 
     def matrix_at(point: complex) -> CMatrix:
-        return orthogonal_extension(v, param(point), z0, tol).matrix
+        return orthogonal_extension(v, param(point), z0, tol)
     return _disk_resolvent(v.ambient_dim, zeta, False, tol, matrix_at)
 
 
@@ -415,8 +408,7 @@ def cayley_transfer(r_in: ResolventModel, z: complex, direction: str, point: com
     """
     point = complex(point)
     eye = np.eye(r_in.ambient_dim)
-    if z.imag == 0:
-        raise ValueError("transform anchor must be non-real")
+    require_nonreal(z)
     if direction == "sym->iso":
         if point == 0 or abs(abs(point) - 1.0) < 1e-14:
             raise PointExcluded(f"point {point} is degenerate for the transfer")
@@ -447,8 +439,7 @@ def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex
     n = a.ambient_dim
     if lam.imag == 0 and not boundary_ok:
         raise PointExcluded(f"real point {lam}")
-    if anchor.imag == 0:
-        raise ValueError("anchor must be non-real")
+    require_nonreal(anchor)
     if lam.imag == 0 or same_halfplane(lam, anchor):
         value, z, src, dst = param(lam), anchor, param.src, param.dst
     else:
@@ -526,8 +517,7 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
     shifted-range membership relation.
     """
     lam, z = complex(lam), complex(anchor)
-    if z.imag == 0:
-        raise ValueError("anchor must be non-real")
+    require_nonreal(z)
     if lam != z and not same_halfplane(lam, z):
         raise PointExcluded("evaluation point must share the anchor half-plane")
     n = a.ambient_dim
@@ -603,7 +593,7 @@ def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel, anchor: complex,
         raise ValueError("boundary parameters are defined for hermitian models")
     compressed = compressed_extension(model, tol)
     direct = neumann_parameter(compressed, a, anchor, tol)
-    if not direct.is_isometric(1e-8):
+    if not direct.is_isometric():
         raise NumericalFailure("compressed operator parameter is not isometric")
     if not is_admissible(a, anchor, direct, tol):
         raise NumericalFailure("compressed operator parameter is not admissible")

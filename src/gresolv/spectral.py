@@ -20,7 +20,7 @@ from .extensions import ExitSpaceModel, PartialMap, neumann_extension
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp,
                         defect_subspaces, is_regular_type, orthogonal_extension,
-                        parameter_frames)
+                        parameter_frames, require_nonreal)
 from .resolvents import ContractionParam, ResolventModel
 
 #: margins below this flag a spectral obstruction; defects above it break unitarity
@@ -151,8 +151,7 @@ class _Side:
         if isinstance(op, IsometryOp):
             kind = "circle"
         elif isinstance(op, SymmetricOp):
-            if anchor.imag == 0:
-                raise ValueError("anchor must be non-real")
+            require_nonreal(anchor)
             kind = "line"
         else:
             raise TypeError("gap reports need an isometric or symmetric operator")
@@ -207,7 +206,7 @@ def _anchored_gap_map(side: _Side, lam: complex, pair: DefectPair) -> PartialMap
     q_mat = dst.basis.conj().T @ pair.n_space.basis
     coords = side.factor(lam) * (q_mat @ nk.inv(s_mat, side.tol))
     result = PartialMap.from_coords(src, dst, coords)
-    if result.dim and not result.is_isometric(1e-10):
+    if result.dim and not result.is_isometric(nk.BUILT_GATE):
         raise NumericalFailure("comparison map lost its isometry")
     return result
 
@@ -317,11 +316,10 @@ def in_space_atoms(op: PartialOperator, param: ContractionParam, anchor: complex
     side = _Side.of(op, complex(anchor), tol)
     src, dst = side.src.n_space, side.dst.n_space
     value = param.in_frames(src, dst).form[1]
-    gram = value.conj().T @ value
-    if value.shape[0] != value.shape[1] or nk.op_norm(gram - np.eye(value.shape[1])) > nk.STRUCT_GATE:
+    if not nk.is_unitary(value, nk.STRUCT_GATE):
         return None
     if side.kind == "circle":
-        kind, big = "unitary", orthogonal_extension(op, value, side.anchor, tol).matrix
+        kind, big = "unitary", orthogonal_extension(op, value, side.anchor, tol)
     else:
         ext, cls = neumann_extension(op, side.anchor, PartialMap.from_coords(src, dst, value), tol)
         if not cls.self_adjoint:
@@ -366,10 +364,9 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
         value = param(point)
         jump = nk.op_norm(value - param(side.jump_probe(point))) \
             if param.kind == "callback" else 0.0
-        gram_l = nk.op_norm(value.conj().T @ value - np.eye(value.shape[1]))
-        gram_r = nk.op_norm(value @ value.conj().T - np.eye(value.shape[0]))
+        defect = max(nk.isometry_defect(value), nk.isometry_defect(value.conj().T))
         records.append(GapPointRecord(point, bound, covering, margin_at(point, value, pair),
-                                      max(gram_l, gram_r), jump))
+                                      defect, jump))
 
     def gfun(x: float) -> float:
         point = side.point(x)

@@ -365,7 +365,7 @@ def test_criterion_9_integral_representation_and_anchor_independence():
             exts = []
             for z0 in (0.0, 0.25 + 0.35j, -0.4j):
                 coords = recover_anchored_parameter(r, z0, zeta)
-                exts.append(g.orthogonal_extension(v, coords, z0).matrix)
+                exts.append(g.orthogonal_extension(v, coords, z0))
             for other in exts[1:]:
                 worst_anchor = max(worst_anchor, nk.op_norm(exts[0] - other))
 

@@ -295,6 +295,31 @@ def test_parameter_of_wrong_shape_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert cli.main(["gap", str(path), "--region", "0.3", "2.5", "--grid", "4"]) == 2
     assert "parameter shape (1, 1) does not match defects (2, 2)" in capsys.readouterr().err
+    # an empty matrix is not the zero matrix of a non-empty shape
+    for kind in ("symmetric", "isometric"):
+        cli.save_instance(cli.generate_instance(kind, 4, 2, 2, seed=4), path)
+        obj = json.loads(path.read_text())
+        for par, field in (({**obj["parameter"], "value": []}, "parameter.value"),
+                           ({"form": "affine", "k0": [], "k1": []}, "parameter.k0")):
+            path.write_text(json.dumps({**obj, "parameter": par}), encoding="utf-8")
+            assert cli.main(["gap", str(path), "--region", "0.2", "0.9", "--grid", "4"]) == 2
+            assert f"error: {field}: empty matrix" in capsys.readouterr().err
+
+
+def test_instance_without_ambient_dimensions_exits_2(tmp_path, capsys):
+    for kind in ("isometric", "symmetric"):
+        out = tmp_path / f"{kind}.json"
+        assert cli.main(["gen", "--kind", kind, "--n", "0", "--d", "0", "--m", "1",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+    empty = np.zeros((0, 0), dtype=complex)
+    path = tmp_path / "n0.json"
+    cli.save_instance(cli.InstanceFile("isometric", 0, empty, empty, 1, np.eye(1), 1j,
+                                       {"form": "constant", "value": []}, 0), path)
+    with pytest.raises(cli.ParseError, match="^ambient_dim:"):
+        cli.load_instance(path)
+    assert cli.main(["verify", str(path)]) == 2
+    assert "ambient_dim" in capsys.readouterr().err
 
 
 def test_gap_grid_must_be_positive(tmp_path, capsys):

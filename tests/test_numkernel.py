@@ -6,7 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gresolv.numkernel as nk
-from gresolv.errors import KindMismatch, Singular
+from gresolv.errors import KindMismatch, NotContraction, Singular
+
+
+def test_contraction_slack_edge():
+    nk.check_contraction(1.0 + 1e-10, "norm")
+    with pytest.raises(NotContraction, match="norm 1.000000 exceeds 1"):
+        nk.check_contraction(1.0 + 2e-10, "norm")
+
+
+def test_isometry_defect_and_unitarity():
+    frame = np.eye(3, dtype=complex)[:, :2]
+    assert nk.isometry_defect(frame) == 0.0
+    assert not nk.is_unitary(frame, nk.STRUCT_GATE)
+    assert nk.is_unitary(np.eye(3), 0.0)
+    assert nk.isometry_defect(np.zeros((3, 0), dtype=complex)) == 0.0
+    assert nk.is_unitary(np.zeros((0, 0), dtype=complex), 0.0)
+    assert not nk.is_unitary(2.0 * np.eye(2), nk.STRUCT_GATE)
+
+
+def test_hermitian_gate_is_relative_to_the_norm():
+    def m(scale, skew):
+        # ||m - m*|| = skew, ||m|| about scale
+        return np.array([[scale, skew], [0.0, scale]], dtype=complex)
+    gate = 1e-8
+    assert nk.is_hermitian(m(0.5, 0.5e-8), gate)
+    assert not nk.is_hermitian(m(0.5, 2e-8), gate)
+    assert nk.is_hermitian(m(100.0, 0.5e-6), gate)
+    assert not nk.is_hermitian(m(100.0, 2e-6), gate)
+    assert not nk.is_hermitian(m(0.5, 0.5e-6), gate)
 
 
 def test_orthonormalize_already_orthonormal():

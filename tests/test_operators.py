@@ -137,7 +137,7 @@ def test_regular_type_at_nonreal_points(rng):
 def test_orthogonal_extension_at_zero_anchor():
     v = g.IsometryOp.null(1)
     ext = g.orthogonal_extension(v, np.array([[0.3 - 0.4j]]), 0.0)
-    np.testing.assert_allclose(ext.matrix, [[0.3 - 0.4j]], atol=1e-14)
+    np.testing.assert_allclose(ext, [[0.3 - 0.4j]], atol=1e-14)
 
 
 def test_orthogonal_extension_scalar_anchored():
@@ -145,7 +145,7 @@ def test_orthogonal_extension_scalar_anchored():
     z0, c = 0.4 + 0.2j, 0.5 - 0.1j
     ext = g.orthogonal_extension(v, np.array([[c]]), z0)
     expected = (c + np.conj(z0)) / (1.0 + z0 * c)
-    np.testing.assert_allclose(ext.matrix, [[expected]], atol=1e-12)
+    np.testing.assert_allclose(ext, [[expected]], atol=1e-12)
 
 
 def test_orthogonal_extension_unitary_parameter(rng):
@@ -157,7 +157,7 @@ def test_orthogonal_extension_unitary_parameter(rng):
         z0 = complex(0.2, -0.3)
         c = nk.haar_unitary(k, rng)
         ext = g.orthogonal_extension(v, c, z0)
-        assert nk.op_norm(ext.matrix.conj().T @ ext.matrix - np.eye(n)) < 1e-10
+        assert nk.op_norm(ext.conj().T @ ext - np.eye(n)) < 1e-10
 
 
 def test_orthogonal_extension_rejects_expansion():

@@ -658,7 +658,7 @@ def test_anchor_independence(rng):
             exts = []
             for z0 in (0.0, 0.25 + 0.35j, -0.4j):
                 coords = recover_anchored_parameter(r, z0, zeta)
-                exts.append(g.orthogonal_extension(v, coords, z0).matrix)
+                exts.append(g.orthogonal_extension(v, coords, z0))
             for other in exts[1:]:
                 assert nk.op_norm(exts[0] - other) < 1e-9
 

@@ -190,7 +190,7 @@ def test_gap_report_anchored_parameter(rng):
     c = nk.haar_unitary(2, rng)
     param = g.ContractionParam.constant(src, dst, c)
     ext = g.orthogonal_extension(v, c, z0)
-    model = g.ExitSpaceModel(3, 0, "unitary", ext.matrix, v)
+    model = g.ExitSpaceModel(3, 0, "unitary", ext, v)
     atoms = g.spectral_measure(model)
     locs = atoms.locations()
     gaps = sorted(zip(locs, list(locs[1:]) + [locs[0] + 2 * np.pi]),

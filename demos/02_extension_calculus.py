@@ -59,8 +59,7 @@ print("\nexit model big operator is", model.big_op.shape, model.kind)
 # compressed parameter (checked internally), and its defect-space parameter
 # is the limit of the defect-block family along the imaginary ray
 compressed = g.compressed_extension(model)
-ray = g.RaySpec.imaginary(anchor)
-report = g.boundary_parameter(a, model, anchor, ray)
+report = g.boundary_parameter(a, model, anchor)
 direct = nzbar.basis.conj().T @ report.direct.ambient() @ nz.basis
 print("boundary parameter coordinates:\n", np.round(direct, 6))
 print("\n|lam|      worst column error of the defect block vs its limit")

@@ -19,7 +19,7 @@ from .extensions import (BlockParam, ExitSpaceModel, ExtensionClass, PartialMap,
                          exit_space_extension, forbidden_operator, is_admissible,
                          neumann_extension, neumann_parameter, compressed_parameter,
                          unitary_exit_extension)
-from .resolvents import (ContractionParam, RaySpec, ResolventModel,
+from .resolvents import (ContractionParam, ResolventModel,
                          admissible_class_check, anchored_resolvent,
                          boundary_parameter, cayley_transfer,
                          characteristic_function, defect_block,

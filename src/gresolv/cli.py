@@ -24,7 +24,7 @@ from .extensions import (block_param_from_map, build_admissible_isometry,
                          exit_space_extension, unitary_exit_extension)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 from .operators import IsometryOp, SymmetricOp, cayley_transform, parameter_frames
-from .resolvents import (ContractionParam, RaySpec, ResolventModel,
+from .resolvents import (ContractionParam, ResolventModel,
                          DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES,
                          cayley_transfer, direct_sum_resolvent, defect_block_family,
                          boundary_parameter, recovered_parameter_family,
@@ -179,14 +179,24 @@ class InstanceFile:
             d = _number(int, obj["domain_dim"], "domain_dim")
             dom = _m_from_json(obj["domain_basis"], (n, d), "domain_basis")
             act = _m_from_json(obj["action_or_range"], (n, d), "action_or_range")
+            for name, (rows, cols) in (("domain_basis", dom.shape), ("action_or_range", act.shape)):
+                if rows != n:
+                    raise ParseError(f"ambient_dim: {n} does not match the {rows} rows of {name}")
+                if cols != d:
+                    raise ParseError(f"domain_dim: {d} does not match the {cols} columns of {name}")
             exit_obj = obj.get("exit")
             kwargs = {}
             if exit_obj is not None:
                 m = _number(int, _object(exit_obj, "exit")["dim"], "exit.dim")
+                if m < 0:
+                    raise ParseError(f"exit.dim: expected a nonnegative dimension, got {m}")
                 defect = (n - d) + m
+                block = _m_from_json(exit_obj["block"], (defect, defect), "exit.block")
+                if block.shape != (defect, defect):
+                    raise ParseError(f"exit.dim: {m} needs an exit.block of shape "
+                                     f"({defect}, {defect}), got {block.shape}")
                 kwargs["exit_dim"] = m
-                kwargs["exit_block"] = _m_from_json(exit_obj["block"], (defect, defect),
-                                                    "exit.block")
+                kwargs["exit_block"] = block
                 kwargs["anchor"] = _c_from_json(exit_obj["anchor"], "exit.anchor")
             # the parameter block is kept raw and decoded on use; check it now
             par = obj.get("parameter")
@@ -344,23 +354,23 @@ def _suite_axioms(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
                   tol: TolPolicy, report: Report) -> None:
     r = ResolventModel.from_dilation(model, tol)
     if inst.kind == "isometric":
-        axioms = verify_resolvent_axioms(r, op, tol=tol)
+        axioms = verify_resolvent_axioms(r, op)
         for check in axioms.checks:
             report.add(f"axiom-{check.name}", check.passed, check.residual, "resolvent-axioms")
         return
     # symmetric side: transfer to the transformed isometry and check there
     z = inst.anchor
-    u = cayley_transform(op, z, "forward", tol)
+    u = cayley_transform(op, z, tol)
 
     def transferred_eval(point, boundary_ok=False):
         # the transfer leaves the points 0 and 1 to continuity; 0 maps to the
         # anchor, where every generalized resolvent equals the identity
         if point == 0:
             return np.eye(inst.ambient_dim, dtype=np.complex128)
-        return cayley_transfer(r, z, "sym->iso", point, tol)
+        return cayley_transfer(r, z, point)
 
     transferred = ResolventModel(inst.ambient_dim, u, transferred_eval)
-    axioms = verify_resolvent_axioms(transferred, u, tol=tol)
+    axioms = verify_resolvent_axioms(transferred, u)
     for check in axioms.checks:
         report.add(f"axiom-{check.name}", check.passed, check.residual,
                    "resolvent-axioms-transferred")
@@ -443,7 +453,7 @@ def _suite_limits(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
     if model is None:
         report.add("limits-model-present", False, np.inf, "boundary-limits")
         return
-    rep = boundary_parameter(op, model, inst.anchor, RaySpec.imaginary(inst.anchor), tol)
+    rep = boundary_parameter(op, model, inst.anchor, tol)
     errs = rep.limit_errors
     if errs.size:
         # below 1e-9 the curve is machine noise: converged, jitter tolerated

@@ -152,7 +152,7 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
 
     def build():
         n = a.ambient_dim
-        ortho = nk.orthogonal_complement(a.dom, tol)
+        ortho = nk.orthogonal_complement(a.dom)
         if ortho.dim == 0:
             return PartialMap.empty(n)
         p_src, p_dst = (nk.projector(pair.n_space) for pair in parameter_frames(a, z, tol))
@@ -198,7 +198,7 @@ def is_admissible(a: SymmetricOp, z: complex, t: PartialMap,
     x = forbidden_operator(a, z, tol)
     common = nk.intersect(t.src, x.src, tol)
     verdict_a, _ = nk.injective((t.ambient() - x.ambient()) @ common.basis, n, tol)
-    u = cayley_transform(a, z, "forward", tol)
+    u = cayley_transform(a, z, tol)
     frame = np.hstack([u.dom.basis, t.src.basis])
     verdict_b, _ = nk.injective(np.hstack([u.action, t.matrix]) - frame, n, tol)
     if verdict_a != verdict_b:

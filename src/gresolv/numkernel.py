@@ -149,7 +149,7 @@ def orthonormalize(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> Subspace:
     return Subspace(n, _fix_phases(u[:, :rank]))
 
 
-def orthogonal_complement(s: Subspace, tol: TolPolicy = DEFAULT_TOL) -> Subspace:
+def orthogonal_complement(s: Subspace) -> Subspace:
     """Orthonormal basis of the orthogonal complement of ``s``."""
     n, k = s.ambient_dim, s.dim
     if k == 0:

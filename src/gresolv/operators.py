@@ -165,7 +165,7 @@ def defect_subspaces(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) -
     else:
         raw = a - complex(point) * d
     m_space = nk.orthonormalize(raw, tol)
-    return DefectPair(m_space, nk.orthogonal_complement(m_space, tol))
+    return DefectPair(m_space, nk.orthogonal_complement(m_space))
 
 
 def parameter_frames(op: PartialOperator, anchor,
@@ -200,20 +200,14 @@ def _transport(raw_dom: CMatrix, raw_ran: CMatrix, n: int, tol: TolPolicy) -> tu
     return q, raw_ran @ nk.inv(coeff, tol)
 
 
-def moebius_transform(v: IsometryOp, z: complex, direction: str = "forward",
-                      tol: TolPolicy = DEFAULT_TOL) -> IsometryOp:
+def moebius_transform(v: IsometryOp, z: complex, tol: TolPolicy = DEFAULT_TOL) -> IsometryOp:
     """Fractional transform of an isometry at a disk point.
 
-    Forward sends V to the isometry with domain (E - z V) D(V) that maps
-    (E - z V) f to (V - conj(z) E) f.  The inverse is the forward transform
-    taken at -z.
+    Sends V to the isometry with domain (E - z V) D(V) that maps (E - z V) f
+    to (V - conj(z) E) f.  The inverse is the transform taken at -z.
     """
     if abs(z) >= 1:
         raise ValueError("transform point must lie in the open unit disk")
-    if direction == "inverse":
-        return moebius_transform(v, -z, "forward", tol)
-    if direction != "forward":
-        raise ValueError(f"unknown direction {direction!r}")
     def build():
         d, r = v.dom.basis, v.ran_basis
         q, images = _transport(d - z * r, r - np.conj(z) * d, v.ambient_dim, tol)
@@ -221,28 +215,24 @@ def moebius_transform(v: IsometryOp, z: complex, direction: str = "forward",
     return _memoized(v, "moebius", z, tol, build)
 
 
-def cayley_transform(op: PartialOperator, z: complex, direction: str = "forward",
+def cayley_transform(op: PartialOperator, z: complex,
                      tol: TolPolicy = DEFAULT_TOL) -> PartialOperator:
     """Cayley transform between symmetric operators and isometries without fixed vectors.
 
-    Forward: A maps to the isometry sending (A - z E) f to (A - conj(z) E) f.
-    Inverse: an isometry W with no eigenvalue 1 on its domain maps to the
+    A symmetric A maps to the isometry sending (A - z E) f to (A - conj(z) E) f.
+    An isometry W with no eigenvalue 1 on its domain maps back to the
     symmetric operator sending (W - E) g to (z W - conj(z) E) g.
     """
     require_nonreal(z)
     n = op.ambient_dim
-    if direction == "forward":
-        if not isinstance(op, SymmetricOp):
-            raise TypeError("forward transform expects a symmetric operator")
+    if isinstance(op, SymmetricOp):
         def build():
             d, a = op.dom.basis, op.action
             q, images = _transport(a - z * d, a - np.conj(z) * d, n, tol)
             return IsometryOp(n, q, nk.symmetric_orthogonalize(images))
         return _memoized(op, "cayley", z, tol, build)
-    if direction != "inverse":
-        raise ValueError(f"unknown direction {direction!r}")
     if not isinstance(op, IsometryOp):
-        raise TypeError("inverse transform expects an isometry")
+        raise TypeError("the Cayley transform expects a symmetric operator or an isometry")
     if not is_regular_type(op, 1.0, tol)[0]:
         raise FixedPointObstruction("isometry fixes a non-zero vector; no symmetric inverse")
     d, r = op.dom.basis, op.ran_basis
@@ -263,6 +253,12 @@ def is_regular_type(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) ->
     return bool(s[-1] > tol.threshold(s[0], op.ambient_dim)), float(s[-1])
 
 
+def _direct_sum(v: IsometryOp, c: CMatrix, src: Subspace, dst: Subspace) -> CMatrix:
+    """The matrix of V on its domain plus the map with coordinates ``c`` from
+    ``src`` into ``dst``, everywhere defined."""
+    return v.ambient_partial() + dst.basis @ c @ src.basis.conj().T
+
+
 def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
                          tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     """Everywhere-defined contraction extending V, parametrized at an anchor z0.
@@ -280,8 +276,8 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
     if c.shape != (dst.dim, src.dim):
         raise ValueError(f"parameter shape {c.shape} does not match defects ({dst.dim}, {src.dim})")
     nk.check_contraction(nk.op_norm(c), "parameter norm")
-    vz = v if z0 == 0 else moebius_transform(v, z0, "forward", tol)
-    plus = vz.ambient_partial() + dst.basis @ c @ src.basis.conj().T
+    vz = v if z0 == 0 else moebius_transform(v, z0, tol)
+    plus = _direct_sum(vz, c, src, dst)
     if z0 == 0:
         nk.check_contraction(nk.op_norm(plus), "extension norm")
         return plus

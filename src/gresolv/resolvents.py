@@ -21,7 +21,7 @@ from .extensions import (ExitSpaceModel, PartialMap, BlockParam,
                          compressed_extension, forbidden_operator, is_admissible,
                          neumann_extension, neumann_parameter)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
-from .operators import (IsometryOp, PartialOperator, SymmetricOp,
+from .operators import (IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
                         defect_subspaces, orthogonal_extension, parameter_frames,
                         require_nonreal)
 
@@ -123,37 +123,11 @@ class ContractionParam:
         return None
 
 
-SECTOR_EPSILON = 0.1  #: ray points keep SECTOR_EPSILON < |arg| < pi - SECTOR_EPSILON
-
-
-@dataclass(frozen=True)
-class RaySpec:
-    """Sample points m * exp(i angle) marching to infinity inside a sector."""
-
-    anchor: complex
-    angle: float
-    magnitudes: tuple
-
-    def __post_init__(self):
-        require_nonreal(self.anchor)
-        mags = tuple(float(m) for m in self.magnitudes)
-        if any(m <= 0 for m in mags) or any(b <= a for a, b in zip(mags, mags[1:])):
-            raise ValueError("magnitudes must be positive and increasing")
-        for p in self.points():
-            arg = abs(np.angle(p))
-            if not (SECTOR_EPSILON < arg < np.pi - SECTOR_EPSILON):
-                raise ValueError(f"ray point {p} leaves the sector")
-            if not same_halfplane(p, self.anchor):
-                raise ValueError(f"ray point {p} leaves the anchor half-plane")
-
-    def points(self) -> list[complex]:
-        return [complex(m * np.exp(1j * self.angle)) for m in self.magnitudes]
-
-    @classmethod
-    def imaginary(cls, anchor: complex = 1j) -> "RaySpec":
-        """The imaginary-axis ray of the anchor's half-plane, magnitudes 10 ... 1e6."""
-        angle = np.pi / 2 if anchor.imag > 0 else -np.pi / 2
-        return cls(anchor, angle, tuple(10.0 ** k for k in range(1, 7)))
+def _imaginary_ray(anchor: complex) -> tuple[complex, ...]:
+    """Points 10 ... 1e6 along the imaginary axis of the anchor's half-plane."""
+    require_nonreal(anchor)
+    angle = np.pi / 2 if anchor.imag > 0 else -np.pi / 2
+    return tuple(complex(10.0 ** k * np.exp(1j * angle)) for k in range(1, 7))
 
 
 @dataclass(frozen=True)
@@ -222,7 +196,7 @@ def direct_sum_resolvent(v: IsometryOp, param: ContractionParam, zeta: complex,
                          boundary_ok: bool = False) -> CMatrix:
     """Resolvent value [E - zeta (V + F(zeta))]^{-1} of the direct-sum family."""
     def matrix_at(point: complex) -> CMatrix:
-        return v.ambient_partial() + param.dst.basis @ param(point) @ param.src.basis.conj().T
+        return _direct_sum(v, param(point), param.src, param.dst)
     return _disk_resolvent(v.ambient_dim, zeta, boundary_ok, tol, matrix_at)
 
 
@@ -337,9 +311,7 @@ class AxiomReport:
         raise KeyError(name)
 
 
-def verify_resolvent_axioms(r: ResolventModel, v: IsometryOp,
-                            tol: TolPolicy = DEFAULT_TOL,
-                            gate: float = 1e-9) -> AxiomReport:
+def verify_resolvent_axioms(r: ResolventModel, v: IsometryOp) -> AxiomReport:
     """Check the five characterizing conditions of a generalized resolvent
     at ``DEFAULT_DISK_SAMPLES``.
 
@@ -350,6 +322,7 @@ def verify_resolvent_axioms(r: ResolventModel, v: IsometryOp,
     """
     n = v.ambient_dim
     eye = np.eye(n)
+    gate = 1e-9
     samples = DEFAULT_DISK_SAMPLES
     interior = [z for z in samples if abs(z) < 1]
     exterior = [z for z in samples if abs(z) > 1]
@@ -363,7 +336,7 @@ def verify_resolvent_axioms(r: ResolventModel, v: IsometryOp,
 
     r0 = r(0.0)
     res2 = nk.op_norm(r0 - eye)
-    comp = nk.orthogonal_complement(v.dom, tol)
+    comp = nk.orthogonal_complement(v.dom)
     if comp.dim:
         res2 = max(res2, nk.op_norm(r0 @ comp.basis - comp.basis))
 
@@ -398,31 +371,31 @@ def verify_resolvent_axioms(r: ResolventModel, v: IsometryOp,
     return AxiomReport(checks, all(c.passed for c in checks))
 
 
-def cayley_transfer(r_in: ResolventModel, z: complex, direction: str, point: complex,
-                    tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def cayley_transfer(r_in: ResolventModel, z: complex, point: complex) -> CMatrix:
     """Affine transfer between symmetric-side and isometric-side resolvents.
 
-    'sym->iso' evaluates the resolvent of the transformed isometry at an
-    interior/exterior point; 'iso->sym' goes the other way.  Points where the
+    A model of a symmetric operator gives the resolvent of its Cayley transform
+    at an interior/exterior point; a model of an isometry gives the resolvent
+    of the inverse transform at a half-plane point.  Points where the
     fractional map degenerates are rejected.
     """
     point = complex(point)
     eye = np.eye(r_in.ambient_dim)
     require_nonreal(z)
-    if direction == "sym->iso":
+    if isinstance(r_in.operator, SymmetricOp):
         if point == 0 or abs(abs(point) - 1.0) < 1e-14:
             raise PointExcluded(f"point {point} is degenerate for the transfer")
         lam = disk_to_halfplane(point, z)
         factor = (lam - np.conj(z)) / (z - np.conj(z))
         return factor * eye + factor * (lam - z) * r_in(lam)
-    if direction == "iso->sym":
-        lam = point
-        if lam == z or lam == np.conj(z) or lam.imag == 0:
-            raise PointExcluded(f"point {point} is degenerate for the transfer")
-        zeta = halfplane_to_disk(lam, z)
-        factor = (lam - np.conj(z)) / (z - np.conj(z))
-        return (r_in(zeta) - factor * eye) / (factor * (lam - z))
-    raise ValueError(f"unknown direction {direction!r}")
+    if not isinstance(r_in.operator, IsometryOp):
+        raise TypeError("the transfer expects a model of a symmetric operator or an isometry")
+    lam = point
+    if lam == z or lam == np.conj(z) or lam.imag == 0:
+        raise PointExcluded(f"point {point} is degenerate for the transfer")
+    zeta = halfplane_to_disk(lam, z)
+    factor = (lam - np.conj(z)) / (z - np.conj(z))
+    return (r_in(zeta) - factor * eye) / (factor * (lam - z))
 
 
 def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex,
@@ -580,14 +553,13 @@ class BoundaryParameterReport:
 
 
 def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel, anchor: complex,
-                       ray: RaySpec,
                        tol: TolPolicy = DEFAULT_TOL) -> BoundaryParameterReport:
     """Boundary parameter of the compressed big operator and its sectorial limits.
 
     The direct route reads the parameter off the compression of the model; the
-    limit route evaluates the defect-block family along the ray and reports the
-    per-vector errors and the membership quantities.  Convergence is reported,
-    never extrapolated.
+    limit route evaluates the defect-block family along the imaginary ray of
+    the anchor's half-plane and reports the per-vector errors and the
+    membership quantities.  Convergence is reported, never extrapolated.
     """
     if model.kind != "hermitian":
         raise ValueError("boundary parameters are defined for hermitian models")
@@ -600,7 +572,7 @@ def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel, anchor: complex,
     src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
     direct_coords = dst.basis.conj().T @ direct.ambient() @ src.basis
     r = ResolventModel.from_dilation(model, tol)
-    points = tuple(ray.points())
+    points = _imaginary_ray(anchor)
     errors = np.zeros((len(points), src.dim))
     member = np.zeros((len(points), src.dim))
     for i, lam in enumerate(points):
@@ -623,13 +595,14 @@ class ClassVerdict:
 
 
 def admissible_class_check(param: ContractionParam, a: SymmetricOp, anchor: complex,
-                           ray: RaySpec, tol: TolPolicy = DEFAULT_TOL) -> ClassVerdict:
+                           tol: TolPolicy = DEFAULT_TOL) -> ClassVerdict:
     """Whether a parameter family stays clear of the forbidden operator at infinity.
 
     A family fails when some non-zero defect vector is carried to its forbidden
     image in the sectorial limit while the norm defect stays summable.  For
     constant and affine forms the limit is closed-form and the verdict exact;
-    callbacks are sampled along the ray and flagged approximate.
+    callbacks are sampled along the imaginary ray of the anchor's half-plane
+    and flagged approximate.
     """
     x = forbidden_operator(a, anchor, tol)
     if x.dim == 0:
@@ -646,7 +619,7 @@ def admissible_class_check(param: ContractionParam, a: SymmetricOp, anchor: comp
 
     # sampled verdict for callbacks: locate the best candidate for a violating
     # direction at the far end of the ray and track it backwards
-    points = ray.points()
+    points = _imaginary_ray(anchor)
     far = points[-1]
     value = param(far)
     vmap = PartialMap.from_coords(param.src, param.dst, value)

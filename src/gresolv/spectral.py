@@ -18,7 +18,7 @@ from .errors import (InternalDisagreement, NotRegularType, NumericalFailure,
                      PointExcluded, PreconditionViolated, SingularSystem)
 from .extensions import ExitSpaceModel, PartialMap, neumann_extension
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
-from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp,
+from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
                         defect_subspaces, is_regular_type, orthogonal_extension,
                         parameter_frames, require_nonreal)
 from .resolvents import ContractionParam, ResolventModel
@@ -173,12 +173,22 @@ class _Side:
             raise NotRegularType(reg, bound)
         return bound, defect_subspaces(self.op, point, self.tol)
 
-    def image_point(self, point: complex) -> complex:
-        """Point whose shifted range must cover the partner one."""
+    def covering(self, point: complex, pair: DefectPair) -> float:
+        """Margin by which the shifted range at the image of a probe point
+        covers the partner one: the smallest cosine between the two, 0 when
+        their dimensions differ.  ``pair`` is the defect pair at the point."""
         z0 = self.anchor
-        if self.kind == "line" or z0 == 0:
-            return point
-        return (z0 + point) / (1.0 + point * np.conj(z0))
+        image = point if self.kind == "line" or z0 == 0 else \
+            (z0 + point) / (1.0 + point * np.conj(z0))
+        m_img = (pair if image == point else defect_subspaces(self.op, image, self.tol)).m_space
+        cov = self.dst.m_space.basis.conj().T @ m_img.basis
+        return _margin(cov) if cov.shape[0] == cov.shape[1] else 0.0
+
+    def margin(self, point: complex, value: CMatrix, pair: DefectPair) -> float:
+        """Invertibility margin of a parameter value against the comparison
+        map at a probe point; ``pair`` is the defect pair at the point."""
+        w = _anchored_gap_map(self, point, pair)
+        return _margin(value - self.dst.n_space.basis.conj().T @ w.matrix)
 
     def jump_probe(self, point: complex) -> complex:
         """Nearby point off the boundary where a callback parameter is compared."""
@@ -253,25 +263,16 @@ def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex,
     c = nk.as_cmatrix(c)
     side = _Side.of(v, 0.0, tol)
     pair = side.checked_pair(zeta)[1]
-    w = _anchored_gap_map(side, zeta, pair)
     n0, ninf = side.src.n_space, side.dst.n_space
-    w_coords = ninf.basis.conj().T @ w.matrix
-    if c.shape != w_coords.shape:
-        raise ValueError(f"parameter shape {c.shape} does not match defects {w_coords.shape}")
-    margin = _margin(c - w_coords)
+    if c.shape != (ninf.dim, n0.dim):
+        raise ValueError(f"parameter shape {c.shape} does not match defects {(ninf.dim, n0.dim)}")
+    margin = side.margin(zeta, c, pair)
     eigen = margin <= GAP_GATE
-
-    cover_mat = side.dst.m_space.basis.conj().T @ pair.m_space.basis
-    if cover_mat.size:
-        s_cover = np.linalg.svd(cover_mat, compute_uv=False)
-        cover_margin = float(s_cover[-1]) if cover_mat.shape[0] == cover_mat.shape[1] else 0.0
-        covers = cover_mat.shape[0] == cover_mat.shape[1] and cover_margin > GAP_GATE
-    else:
-        cover_margin = np.inf
-        covers = side.dst.m_space.dim == 0
+    cover_margin = side.covering(zeta, pair)
+    covers = cover_margin > GAP_GATE
 
     # independent eigenvalue test of the direct sum
-    full = v.ambient_partial() + ninf.basis @ c @ n0.basis.conj().T
+    full = _direct_sum(v, c, n0, ninf)
     target = 1.0 / zeta
     eigs = np.linalg.eigvals(full)
     dist = float(np.min(np.abs(eigs - target))) if eigs.size else np.inf
@@ -344,33 +345,24 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
     if region.kind != side.kind:
         raise ValueError(f"gap regions of this operator are {side.kind} regions")
 
-    def margin_at(point: complex, value: CMatrix, pair: DefectPair) -> float:
-        w = _anchored_gap_map(side, point, pair)
-        return _margin(value - side.dst.n_space.basis.conj().T @ w.matrix)
-
     records = []
     grid = region.grid(grid_size)
     for x in grid:
         point = side.point(x)
         bound, pair = side.checked_pair(point)
-        image = side.image_point(point)
-        m_img = (pair if image == point else defect_subspaces(op, image, tol)).m_space
-        cov = side.dst.m_space.basis.conj().T @ m_img.basis
-        if cov.shape[0] != cov.shape[1]:
-            raise PreconditionViolated(f"shifted ranges do not balance at {x}")
-        covering = _margin(cov)
+        covering = side.covering(point, pair)
         if covering <= GAP_GATE:
             raise PreconditionViolated(f"range covering fails at {x}")
         value = param(point)
         jump = nk.op_norm(value - param(side.jump_probe(point))) \
             if param.kind == "callback" else 0.0
         defect = max(nk.isometry_defect(value), nk.isometry_defect(value.conj().T))
-        records.append(GapPointRecord(point, bound, covering, margin_at(point, value, pair),
+        records.append(GapPointRecord(point, bound, covering, side.margin(point, value, pair),
                                       defect, jump))
 
     def gfun(x: float) -> float:
         point = side.point(x)
-        return margin_at(point, param(point), side.checked_pair(point)[1])
+        return side.margin(point, param(point), side.checked_pair(point)[1])
 
     _require_regular_region(op, region, grid,
                             np.array([r.regular_bound for r in records]), tol)
@@ -515,7 +507,7 @@ def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex,
     c = nk.as_cmatrix(c)
     n = v.ambient_dim
     n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
-    full = v.ambient_partial() + ninf.basis @ c @ n0.basis.conj().T
+    full = _direct_sum(v, c, n0, ninf)
     target = 1.0 / zeta
     system = full - target * np.eye(n)
     u, s, vh = np.linalg.svd(system)

@@ -52,7 +52,7 @@ def random_symmetric_model(rng, n_max=8, m_max=8, anchor=1j, dense_ok=False,
         tmap = g.build_admissible_isometry(frames.coupled, anchor, frames.src,
                                            frames.dst, seed)
         if min_margin is not None:
-            u_z = g.cayley_transform(frames.coupled, anchor, "forward")
+            u_z = g.cayley_transform(frames.coupled, anchor)
             full = np.hstack([u_z.action, tmap.matrix])
             frame = np.hstack([u_z.dom.basis, tmap.src.basis])
             eigs = np.linalg.eigvals(full @ frame.conj().T)

@@ -69,21 +69,21 @@ def test_criterion_3_resolvent_axioms_and_mutations():
     for _ in range(20):
         v, model = random_isometric_model(rng, n_max=8, m_max=8)
         oracle = g.ResolventModel.from_dilation(model)
-        rep = g.verify_resolvent_axioms(oracle, v, gate=1e-9)
+        rep = g.verify_resolvent_axioms(oracle, v)
         worst = max(worst, max(c.residual for c in rep.checks))
         if not rep.all_passed:
             mutations_ok = False
         # scaled mutation: the normalization axiom is the designated failure
         halved = g.ResolventModel(v.ambient_dim, v,
                                   lambda p, b=False, o=oracle: 0.5 * o(p, b))
-        rep_h = g.verify_resolvent_axioms(halved, v, gate=1e-9)
+        rep_h = g.verify_resolvent_axioms(halved, v)
         mutations_ok &= not rep_h.check("normalization-at-zero").passed
         # shifted (argument-dilated) mutation: the domain identity is the
         # designated failure while the normalization stays intact
         if v.dom.dim:
             shifted = g.ResolventModel(v.ambient_dim, v,
                                        lambda p, b=False, o=oracle: o(0.9 * p, b))
-            rep_s = g.verify_resolvent_axioms(shifted, v, gate=1e-9)
+            rep_s = g.verify_resolvent_axioms(shifted, v)
             mutations_ok &= not rep_s.check("domain-identity").passed
             mutations_ok &= rep_s.check("normalization-at-zero").passed
     report(3, "resolvent axioms",
@@ -119,7 +119,7 @@ def test_criterion_4_exact_fixtures():
                 abs(block.t21[0, 0] - 1j), abs(block.t22[0, 0]))
     worst = max(worst, abs(g.characteristic_function(g.SymmetricOp.null(1), anchor, 2j)[0, 0]
                            - 1.0 / 3.0))
-    phi_rep = g.boundary_parameter(a2, model2, anchor, g.RaySpec.imaginary(anchor))
+    phi_rep = g.boundary_parameter(a2, model2, anchor)
     dst = g.defect_subspaces(a2, np.conj(anchor)).n_space
     worst = max(worst, abs((dst.basis.conj().T @ phi_rep.direct.matrix)[0, 0] + 1.0))
 
@@ -155,12 +155,11 @@ def test_criterion_5_defect_block_representation():
 def test_criterion_6_boundary_limit():
     rng = np.random.default_rng(606)
     anchor = 1j
-    ray = g.RaySpec.imaginary(anchor)
     ok = True
     detail = []
 
     def check_model(a, model):
-        rep = g.boundary_parameter(a, model, anchor, ray)
+        rep = g.boundary_parameter(a, model, anchor)
         errs = rep.limit_errors
         if errs.size == 0:
             return True, 0.0

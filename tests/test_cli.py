@@ -245,6 +245,13 @@ MALFORMED = {
     "seed": lambda obj: {**obj, "seed": [1]},
     "exit.dim": lambda obj: {**obj, "exit": {**obj["exit"], "dim": [1]}},
     "exit.anchor": lambda obj: {**obj, "exit": {**obj["exit"], "anchor": [[0.0], 1.0]}},
+    # dimension fields that disagree with the arrays; the key names the field
+    # the error must name, then the edit
+    "ambient_dim=5": lambda obj: {**obj, "ambient_dim": 5},
+    "domain_dim=-1": lambda obj: {**obj, "domain_dim": -1},
+    "domain_dim=9": lambda obj: {**obj, "domain_dim": 9},
+    "exit.dim=-1": lambda obj: {**obj, "exit": {**obj["exit"], "dim": -1}},
+    "exit.dim=5": lambda obj: {**obj, "exit": {**obj["exit"], "dim": 5}},
 }
 
 
@@ -254,7 +261,7 @@ def test_malformed_instance_rejected_with_code_2(tmp_path, field):
     cli.save_instance(cli.generate_instance("isometric", 3, 1, 1, seed=2), path)
     edited = MALFORMED[field](json.loads(path.read_text()))
     path.write_text(json.dumps(edited), encoding="utf-8")
-    with pytest.raises(cli.ParseError, match=f"^{re.escape(field)}:"):
+    with pytest.raises(cli.ParseError, match=f"^{re.escape(field.split('=')[0])}:"):
         cli.load_instance(path)
     assert cli.main(["verify", str(path), "--suite", "gap"]) == 2
 
@@ -341,3 +348,53 @@ def test_non_finite_tolerance_rejected(tmp_path):
     path = tmp_path / "inst.json"
     cli.save_instance(cli.generate_instance("isometric", 4, 2, 2, seed=4), path)
     assert cli.main(["--rank-rel", "nan", "verify", str(path)]) == 2
+
+
+def test_gen_command_writes_the_generated_instance(tmp_path, capsys):
+    for kind in ("isometric", "symmetric"):
+        out, ref = tmp_path / f"{kind}.json", tmp_path / f"{kind}-ref.json"
+        assert cli.main(["gen", "--kind", kind, "--n", "4", "--d", "2", "--m", "2",
+                         "--seed", "7", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {kind} instance n=4 d=2 m=2 to {out}\n"
+        cli.save_instance(cli.generate_instance(kind, 4, 2, 2, 7), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+
+def test_resolvent_command_on_the_circle(tmp_path):
+    path, out = tmp_path / "iso.json", tmp_path / "resolvent.txt"
+    inst = cli.generate_instance("isometric", 3, 1, 2, seed=6)
+    cli.save_instance(inst, path)
+    assert cli.main(["resolvent", str(path), "--grid", "10", "--out", str(out)]) == 0
+    r = g.ResolventModel.from_dilation(inst.model())
+    rows = [line.split("\t") for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 10
+    points = []
+    for row in rows:
+        points.append(complex(float(row[0]), float(row[1])))
+        cells = [complex(*(float(x) for x in cell.split(","))) for cell in row[2:]]
+        np.testing.assert_allclose(np.reshape(cells, (3, 3)), r(points[-1]),
+                                   rtol=1e-11, atol=1e-12)
+    assert {round(abs(p), 9) for p in points} == {0.2, 0.5, 0.8, 1.25, 2.0}
+
+
+def test_verify_fails_without_the_block_a_suite_reads(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    for kind, suite, field, check in (("symmetric", "limits", "exit", "limits-model-present"),
+                                      ("symmetric", "gap", "parameter", "gap-parameter-present"),
+                                      ("isometric", "gap", "parameter", "gap-parameter-present")):
+        obj = cli.generate_instance(kind, 3, 1, 2, seed=5).to_json()
+        path.write_text(json.dumps({**obj, field: None}), encoding="utf-8")
+        assert cli.main(["verify", str(path), "--suite", suite]) == 1
+        assert f"[FAIL] {check}" in capsys.readouterr().out
+
+
+def test_verify_gap_suite_with_a_single_atom(tmp_path):
+    # on the circle the atom-free arc starts past the atom and is clamped below 2 pi
+    for kind, atom in (("isometric", 0.679), ("symmetric", 0.352)):
+        path = tmp_path / f"{kind}.json"
+        inst = cli.generate_instance(kind, 1, 0, 1, seed=1)
+        cli.save_instance(inst, path)
+        atoms = g.spectral.in_space_atoms(inst.operator, inst.parameter_family(),
+                                          inst.parameter_anchor())
+        np.testing.assert_allclose(atoms.locations(), [atom], atol=1e-3)
+        assert cli.main(["verify", str(path), "--suite", "gap"]) == 0

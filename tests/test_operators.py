@@ -46,7 +46,7 @@ def test_moebius_roundtrip(rng):
         d = int(rng.integers(0, n + 1))
         v = g.IsometryOp.random(n, d, rng)
         z = complex(0.6 * rng.standard_normal() / 2, 0.6 * rng.standard_normal() / 2)
-        back = g.moebius_transform(g.moebius_transform(v, z, "forward"), z, "inverse")
+        back = g.moebius_transform(g.moebius_transform(v, z), -z)
         assert nk.op_norm(back.ambient_partial() - v.ambient_partial()) < 1e-10
         assert nk.op_norm(nk.projector(back.dom) - nk.projector(v.dom)) < 1e-10
 
@@ -74,7 +74,7 @@ def test_moebius_preserves_unitarity_both_ways(rng):
 
 def test_cayley_scalar_dense():
     a = g.SymmetricOp(1, g.Subspace.full(1), np.array([[2.5]], dtype=complex))
-    u = g.cayley_transform(a, 1j, "forward")
+    u = g.cayley_transform(a, 1j)
     expected = (2.5 + 1j) / (2.5 - 1j)
     value = u.ran_basis[0, 0] / u.dom.basis[0, 0]
     assert abs(value - expected) < 1e-12
@@ -82,7 +82,7 @@ def test_cayley_scalar_dense():
 
 
 def test_cayley_of_null():
-    u = g.cayley_transform(g.SymmetricOp.null(1), 1j, "forward")
+    u = g.cayley_transform(g.SymmetricOp.null(1), 1j)
     assert u.dom.dim == 0
 
 
@@ -92,8 +92,8 @@ def test_cayley_roundtrip_non_dense(rng):
         d = int(rng.integers(1, n))
         a = g.SymmetricOp.random(n, d, rng)
         z = complex(rng.standard_normal(), 1.0 + rng.random())
-        u = g.cayley_transform(a, z, "forward")
-        back = g.cayley_transform(u, z, "inverse")
+        u = g.cayley_transform(a, z)
+        back = g.cayley_transform(u, z)
         assert nk.op_norm(nk.projector(back.dom) - nk.projector(a.dom)) < 1e-9
         assert nk.op_norm(back.ambient_partial() - a.ambient_partial()) < 1e-8 * max(
             1.0, nk.op_norm(a.ambient_partial()))
@@ -104,7 +104,7 @@ def test_cayley_forward_has_no_fixed_vectors(rng):
         n = int(rng.integers(1, 9))
         d = int(rng.integers(0, n))
         a = g.SymmetricOp.random(n, d, rng)
-        u = g.cayley_transform(a, 1j, "forward")
+        u = g.cayley_transform(a, 1j)
         if u.dom.dim:
             s = np.linalg.svd(u.action - u.dom.basis, compute_uv=False)
             assert s[-1] > 1e-8
@@ -112,7 +112,12 @@ def test_cayley_forward_has_no_fixed_vectors(rng):
 
 def test_cayley_inverse_rejects_fixed_vectors():
     with pytest.raises(g.FixedPointObstruction):
-        g.cayley_transform(partial_identity_isometry(), 1j, "inverse")
+        g.cayley_transform(partial_identity_isometry(), 1j)
+
+
+def test_cayley_transform_rejects_other_operators():
+    with pytest.raises(TypeError):
+        g.cayley_transform(g.PartialOperator.null(2), 1j)
 
 
 def test_regular_type_fixture():

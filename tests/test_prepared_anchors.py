@@ -20,7 +20,7 @@ def _fresh(op):
 
 
 def _cayley(op, z, *tol):
-    return g.cayley_transform(op, z, "forward", *tol)
+    return g.cayley_transform(op, z, *tol)
 
 
 def test_criterion_2_loop_builds_each_anchor_pair_once(monkeypatch):
@@ -68,8 +68,7 @@ def test_memo_keeps_tolerances_and_conjugate_anchors_apart():
     v = g.IsometryOp.random(4, 2, rng)
     w = g.moebius_transform(v, 0.3j)
     assert g.moebius_transform(v, 0.3j) is w
-    assert g.moebius_transform(v, -0.3j, "inverse") is w
-    assert g.moebius_transform(v, 0.3j, "forward", loose) is not w
+    assert g.moebius_transform(v, 0.3j, loose) is not w
 
 
 def test_warm_and_fresh_operators_agree_bitwise():
@@ -117,7 +116,7 @@ def test_memoized_values_are_read_only():
     with pytest.raises(ValueError):
         g.forbidden_operator(a, 1j).matrix[0, 0] = 1.0
     with pytest.raises(ValueError):
-        g.cayley_transform(a, 1j, "forward").action[0, 0] = 1.0
+        g.cayley_transform(a, 1j).action[0, 0] = 1.0
 
 
 def test_failed_build_is_not_stored():

@@ -208,9 +208,8 @@ def _same_consumers(op, param, turned, anchor, regions, grid):
             np.testing.assert_allclose(g.direct_sum_resolvent(op, turned, zeta), value,
                                        atol=1e-9 * max(1.0, nk.op_norm(value)))
         return
-    ray = g.RaySpec.imaginary(anchor)
-    assert g.admissible_class_check(turned, op, anchor, ray).admissible == \
-        g.admissible_class_check(param, op, anchor, ray).admissible
+    assert g.admissible_class_check(turned, op, anchor).admissible == \
+        g.admissible_class_check(param, op, anchor).admissible
     for lam in (0.5 + 1j, 2 - 1j):
         value = g.extension_resolvent(op, param, anchor, lam)
         np.testing.assert_allclose(g.extension_resolvent(op, turned, anchor, lam), value,
@@ -368,7 +367,7 @@ def test_axioms_fail_for_halved_resolvent():
 def test_cayley_transfer_fixture_numbers():
     _, model, anchor, _ = flip_dilation_symmetric()
     r_s = g.ResolventModel.from_dilation(model)
-    value = g.cayley_transfer(r_s, anchor, "sym->iso", 1.0 / 3.0)
+    value = g.cayley_transfer(r_s, anchor, 1.0 / 3.0)
     np.testing.assert_allclose(value, [[0.9]], atol=1e-12)
 
 
@@ -381,10 +380,10 @@ def test_cayley_transfer_roundtrip(rng):
     assert len(points) == 20
     for lam in points:
         zeta = (lam - z) / (lam - np.conj(z))
-        via = g.cayley_transfer(r_s, z, "sym->iso", zeta)
-        wrapped = g.ResolventModel(a.ambient_dim, a,
+        via = g.cayley_transfer(r_s, z, zeta)
+        wrapped = g.ResolventModel(a.ambient_dim, g.cayley_transform(a, z),
                                    lambda p, b=False, v=via: v)
-        back = g.cayley_transfer(wrapped, z, "iso->sym", lam)
+        back = g.cayley_transfer(wrapped, z, lam)
         np.testing.assert_allclose(back, r_s(lam), atol=1e-10)
 
 
@@ -395,19 +394,28 @@ def test_cayley_transfer_self_adjoint_matches_fredholm(rng):
     model = g.ExitSpaceModel(3, 0, "hermitian", h, a)
     r_s = g.ResolventModel.from_dilation(model)
     z = 1j
-    u = g.cayley_transform(a, z, "forward").full_matrix()
+    u = g.cayley_transform(a, z).full_matrix()
     for zeta in (0.4, -0.3 + 0.2j):
-        transferred = g.cayley_transfer(r_s, z, "sym->iso", zeta)
+        transferred = g.cayley_transfer(r_s, z, zeta)
         np.testing.assert_allclose(transferred, nk.inv(np.eye(3) - zeta * u), atol=1e-10)
 
 
 def test_cayley_transfer_excluded_points():
-    _, model, anchor, _ = flip_dilation_symmetric()
+    a, model, anchor, _ = flip_dilation_symmetric()
     r_s = g.ResolventModel.from_dilation(model)
     with pytest.raises(g.PointExcluded):
-        g.cayley_transfer(r_s, anchor, "sym->iso", 0.0)
+        g.cayley_transfer(r_s, anchor, 0.0)
+    r_u = g.ResolventModel(a.ambient_dim, g.cayley_transform(a, anchor),
+                           lambda p, b=False: g.cayley_transfer(r_s, anchor, p))
     with pytest.raises(g.PointExcluded):
-        g.cayley_transfer(r_s, anchor, "iso->sym", anchor)
+        g.cayley_transfer(r_u, anchor, anchor)
+
+
+def test_cayley_transfer_rejects_other_operators():
+    model = g.ResolventModel(2, g.PartialOperator.null(2),
+                             lambda p, b=False: np.eye(2, dtype=complex))
+    with pytest.raises(TypeError):
+        g.cayley_transfer(model, 1j, 0.5)
 
 
 # ------------------------------------------------- extension-family formula
@@ -574,8 +582,7 @@ def test_defect_block_via_char_matches_dilation_with_general_exit(rng):
 
 def test_boundary_parameter_fixture():
     a, model, anchor, _ = flip_dilation_symmetric()
-    ray = g.RaySpec.imaginary(anchor)
-    report = g.boundary_parameter(a, model, anchor, ray)
+    report = g.boundary_parameter(a, model, anchor)
     dst = g.defect_subspaces(a, np.conj(anchor)).n_space
     np.testing.assert_allclose(dst.basis.conj().T @ report.direct.matrix, [[-1.0]], atol=1e-12)
     expected = np.array([2.0 / (1.0 + 10.0**k) for k in range(1, 7)])
@@ -588,7 +595,7 @@ def test_boundary_parameter_no_exit_error_vanishes(rng):
     h = (h + h.conj().T) / 2.0
     a = g.SymmetricOp(2, g.Subspace.full(2), h)
     model = g.ExitSpaceModel(2, 0, "hermitian", h, a)
-    report = g.boundary_parameter(a, model, 1j, g.RaySpec.imaginary(1j))
+    report = g.boundary_parameter(a, model, 1j)
     assert report.limit_errors.size == 0 or report.limit_errors.max() < 1e-12
 
 
@@ -611,26 +618,23 @@ def test_membership_quantity_grows_for_strict_contraction():
 
 def test_admissible_class_forbidden_constant():
     a = g.SymmetricOp.null(1)
-    ray = g.RaySpec.imaginary(1j)
     verdict = g.admissible_class_check(sym_param(a, 1j, constant=np.array([[1.0]])),
-                                       a, 1j, ray)
+                                       a, 1j)
     assert not verdict and verdict.exact
 
 
 def test_admissible_class_fixture_family():
     a = g.SymmetricOp.null(1)
-    ray = g.RaySpec.imaginary(1j)
     param = sym_param(a, 1j, fn=lambda lam: np.array([[-(lam - 1j) / (lam + 1j)]]))
-    verdict = g.admissible_class_check(param, a, 1j, ray)
+    verdict = g.admissible_class_check(param, a, 1j)
     assert verdict and not verdict.exact
 
 
 def test_admissible_class_dense_domain(rng):
     a = g.SymmetricOp.random(3, 3, rng)
-    ray = g.RaySpec.imaginary(1j)
     param = g.ContractionParam.constant(g.Subspace.empty(3), g.Subspace.empty(3),
                                         np.zeros((0, 0)), 1j)
-    verdict = g.admissible_class_check(param, a, 1j, ray)
+    verdict = g.admissible_class_check(param, a, 1j)
     assert verdict and verdict.exact
 
 

@@ -59,8 +59,7 @@ for check in report.checks:
           f"   residual {check.residual:.2e}")
 
 # and a tampered function fails exactly where it should
-halved = g.ResolventModel(3, v,
-                          lambda p, b=False: 0.5 * oracle(p, b))
+halved = g.ResolventModel(v, lambda p, b=False: 0.5 * oracle(p, b))
 bad = g.verify_resolvent_axioms(halved, v)
 print("\nhalved resolvent fails the normalization check:",
       not bad.check("normalization-at-zero").passed)

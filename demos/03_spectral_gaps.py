@@ -22,7 +22,7 @@ ninf = g.defect_subspaces(v, g.INFINITY).n_space
 c = g.numkernel.haar_unitary(2, rng)
 param = g.ContractionParam.constant(n0, ninf, c)
 ext = g.orthogonal_extension(v, c, 0.0)
-model = g.ExitSpaceModel(4, 0, "unitary", ext, v)
+model = g.ExitSpaceModel(ext, v)
 
 atoms = g.spectral_measure(model)
 print("atoms (angle, trace of weight):")
@@ -68,7 +68,7 @@ dst = g.defect_subspaces(a, -1j).n_space
 pmap = g.build_admissible_isometry(a, 1j, src, dst, seed=3)
 f_param = g.ContractionParam.constant(src, dst, dst.basis.conj().T @ pmap.matrix, anchor=1j)
 ext_a, _ = g.neumann_extension(a, 1j, pmap)
-line_atoms = g.spectral_measure(g.ExitSpaceModel(3, 0, "hermitian", ext_a.full_matrix(), a))
+line_atoms = g.spectral_measure(g.ExitSpaceModel(ext_a.full_matrix(), a))
 t_locs = line_atoms.locations()
 print("\nline atoms:", np.round(t_locs, 4))
 mid = 0.5 * (t_locs[0] + t_locs[1]) if len(t_locs) > 1 else t_locs[0] + 1.0

@@ -83,6 +83,8 @@ def _m_from_json(rows, shape_hint=None, field: str = "matrix") -> CMatrix:
                 for i, row in enumerate(rows)]
     except TypeError as exc:
         raise ParseError(f"bad {field} encoding: {exc}") from exc
+    if len({len(row) for row in data}) > 1:
+        raise ParseError(f"{field}: rows of different lengths")
     if not data:
         # only a shape with no rows is written as []
         if shape_hint is None or shape_hint[0]:
@@ -96,23 +98,29 @@ class InstanceFile:
     """Parsed instance: an operator, an optional exit block, an optional parameter."""
 
     kind: str
-    ambient_dim: int
     domain_basis: CMatrix
     action_or_range: CMatrix
-    exit_dim: int = 0
     exit_block: CMatrix | None = None
     anchor: complex = 1j
     parameter: dict | None = None
     seed: int = 0
 
+    @property
+    def exit_dim(self) -> int:
+        """Exit block size less the inner defect dimension n - d; 0 without a block."""
+        if self.exit_block is None:
+            return 0
+        n, d = self.domain_basis.shape
+        return self.exit_block.shape[0] - (n - d)
+
     @functools.cached_property
     def operator(self):
         """Built once, so every consumer shares the operator and its anchor memo."""
-        sub = Subspace(self.ambient_dim, self.domain_basis)
+        sub = Subspace(self.domain_basis)
         if self.kind == "isometric":
-            return IsometryOp(self.ambient_dim, sub, self.action_or_range)
+            return IsometryOp(sub, self.action_or_range)
         if self.kind == "symmetric":
-            return SymmetricOp(self.ambient_dim, sub, self.action_or_range)
+            return SymmetricOp(sub, self.action_or_range)
         raise ParseError(f"unknown instance kind {self.kind!r}")
 
     def model(self, tol: TolPolicy = DEFAULT_TOL) -> ExitSpaceModel | None:
@@ -146,7 +154,7 @@ class InstanceFile:
         return getattr(ContractionParam, par["form"])(src, dst, *mats, anchor)
 
     def to_json(self) -> dict:
-        n, d = self.ambient_dim, self.domain_basis.shape[1]
+        n, d = self.domain_basis.shape
         obj = {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
@@ -195,7 +203,6 @@ class InstanceFile:
                 if block.shape != (defect, defect):
                     raise ParseError(f"exit.dim: {m} needs an exit.block of shape "
                                      f"({defect}, {defect}), got {block.shape}")
-                kwargs["exit_dim"] = m
                 kwargs["exit_block"] = block
                 kwargs["anchor"] = _c_from_json(exit_obj["anchor"], "exit.anchor")
             # the parameter block is kept raw and decoded on use; check it now
@@ -210,7 +217,7 @@ class InstanceFile:
                         raise ParseError(f"parameter.{key}: missing for form {form!r}")
                     _m_from_json(par[key], (0, 0), f"parameter.{key}")
                 _c_from_json(par.get("z0", [0.0, 0.0]), "parameter.z0")
-            return cls(kind=obj["kind"], ambient_dim=n, domain_basis=dom,
+            return cls(kind=obj["kind"], domain_basis=dom,
                        action_or_range=act, parameter=obj.get("parameter"),
                        seed=_number(int, obj.get("seed", 0), "seed"), **kwargs)
         except KeyError as exc:
@@ -304,8 +311,7 @@ def generate_instance(kind: str, n: int, d: int, m: int, seed: int) -> InstanceF
         block = nk.haar_unitary(k + m, rng) if k + m else np.zeros((0, 0), dtype=np.complex128)
         param = {"form": "constant", "value": _m_to_json(nk.haar_unitary(k, rng)),
                  "z0": _c_to_json(0.0)}
-        return InstanceFile("isometric", n, op.dom.basis, op.ran_basis, m, block,
-                            1j, param, seed)
+        return InstanceFile("isometric", op.dom.basis, op.ran_basis, block, 1j, param, seed)
     if kind == "symmetric":
         if d == n:
             print("warning: self-adjoint, defects (0,0)", file=sys.stderr)
@@ -320,7 +326,7 @@ def generate_instance(kind: str, n: int, d: int, m: int, seed: int) -> InstanceF
         pmap = build_admissible_isometry(op, anchor, src, dst, param_seed)
         pm_coords = dst.basis.conj().T @ pmap.ambient() @ src.basis
         param = {"form": "constant", "value": _m_to_json(pm_coords)}
-        inst = InstanceFile("symmetric", n, op.dom.basis, op.action, m, block_coords,
+        inst = InstanceFile("symmetric", op.dom.basis, op.action, block_coords,
                             anchor, param, seed)
         inst.model()  # admissibility verified post-generation
         return inst
@@ -366,10 +372,10 @@ def _suite_axioms(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
         # the transfer leaves the points 0 and 1 to continuity; 0 maps to the
         # anchor, where every generalized resolvent equals the identity
         if point == 0:
-            return np.eye(inst.ambient_dim, dtype=np.complex128)
+            return np.eye(op.ambient_dim, dtype=np.complex128)
         return cayley_transfer(r, z, point)
 
-    transferred = ResolventModel(inst.ambient_dim, u, transferred_eval)
+    transferred = ResolventModel(u, transferred_eval)
     axioms = verify_resolvent_axioms(transferred, u)
     for check in axioms.checks:
         report.add(f"axiom-{check.name}", check.passed, check.residual,

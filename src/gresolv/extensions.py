@@ -26,12 +26,7 @@ class PartialMap:
     """A linear map from a subspace into an ambient space, column by column."""
 
     src: Subspace
-    dst_ambient: int
     matrix: CMatrix
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.dst_ambient, self.src.dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} does not match source")
 
     @property
     def dim(self) -> int:
@@ -53,14 +48,14 @@ class PartialMap:
 
     @classmethod
     def empty(cls, n: int) -> "PartialMap":
-        return cls(Subspace.empty(n), n, np.zeros((n, 0), dtype=np.complex128))
+        return cls(Subspace.empty(n), np.zeros((n, 0), dtype=np.complex128))
 
     @classmethod
     def from_coords(cls, src: Subspace, dst: Subspace, coords: CMatrix) -> "PartialMap":
         coords = nk.as_cmatrix(coords)
         if coords.shape != (dst.dim, src.dim):
             raise ValueError(f"coordinate shape {coords.shape} does not match frames")
-        return cls(src, dst.ambient_dim, dst.basis @ coords)
+        return cls(src, dst.basis @ coords)
 
 
 @dataclass(frozen=True)
@@ -94,15 +89,13 @@ class ExitSpaceModel:
     """A unitary or self-adjoint extension acting on inner + exit coordinates.
 
     ``big_op`` is everywhere defined (a plain matrix); its restriction to the
-    embedded domain of ``embeds`` reproduces that operator.  ``anchor``,
+    embedded domain of ``embeds`` reproduces that operator.  The kind and the
+    dimensions are read off ``embeds`` and ``big_op``.  ``anchor``,
     ``block`` and ``exit_op`` record how a Hermitian model was assembled and
     enable the compression cross-checks; they are None for models built from
     raw matrices.
     """
 
-    inner_dim: int
-    exit_dim: int
-    kind: str  # 'unitary' | 'hermitian'
     big_op: CMatrix
     embeds: PartialOperator
     anchor: complex | None = None
@@ -110,12 +103,9 @@ class ExitSpaceModel:
     exit_op: SymmetricOp | None = None
 
     def __post_init__(self):
-        n, m = self.inner_dim, self.exit_dim
-        if self.big_op.shape != (n + m, n + m):
+        big, m = self.big_op, self.exit_dim
+        if big.shape[0] != big.shape[1] or m < 0:
             raise ValueError("big operator has the wrong shape")
-        if self.kind not in ("unitary", "hermitian"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        big = self.big_op
         test = nk.is_unitary if self.kind == "unitary" else nk.is_hermitian
         if not test(big, nk.STRUCT_GATE):
             raise ValueError(f"big operator fails its {self.kind} test")
@@ -126,8 +116,21 @@ class ExitSpaceModel:
             raise ValueError(f"model does not extend the inner operator ({res:.3e})")
 
     @property
+    def kind(self) -> str:
+        """'unitary' for a model of an isometry, 'hermitian' otherwise."""
+        return "unitary" if isinstance(self.embeds, IsometryOp) else "hermitian"
+
+    @property
+    def inner_dim(self) -> int:
+        return self.embeds.ambient_dim
+
+    @property
     def total_dim(self) -> int:
-        return self.inner_dim + self.exit_dim
+        return self.big_op.shape[0]
+
+    @property
+    def exit_dim(self) -> int:
+        return self.total_dim - self.inner_dim
 
 
 def embed_inner(mat: CMatrix, exit_dim: int) -> CMatrix:
@@ -164,7 +167,7 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
         matrix = p_dst @ ortho.basis @ lift
         if nk.isometry_defect(matrix) > nk.BUILT_GATE:
             raise NumericalFailure("forbidden operator failed its isometry check")
-        return PartialMap(src, n, matrix)
+        return PartialMap(src, matrix)
     return _memoized(a, "forbidden", z, tol, build)
 
 
@@ -194,13 +197,12 @@ def is_admissible(a: SymmetricOp, z: complex, t: PartialMap,
     the common domain.  Test (b): the direct sum of the Cayley transform and
     the parameter has no eigenvalue 1 on its domain.  Both verdicts must agree.
     """
-    n = a.ambient_dim
     x = forbidden_operator(a, z, tol)
     common = nk.intersect(t.src, x.src, tol)
-    verdict_a, _ = nk.injective((t.ambient() - x.ambient()) @ common.basis, n, tol)
+    verdict_a, _ = nk.injective((t.ambient() - x.ambient()) @ common.basis, tol)
     u = cayley_transform(a, z, tol)
     frame = np.hstack([u.dom.basis, t.src.basis])
-    verdict_b, _ = nk.injective(np.hstack([u.action, t.matrix]) - frame, n, tol)
+    verdict_b, _ = nk.injective(np.hstack([u.action, t.matrix]) - frame, tol)
     if verdict_a != verdict_b:
         raise InternalDisagreement(
             f"kernel test says {verdict_a}, fixed-point test says {verdict_b}")
@@ -241,9 +243,9 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
         raise NotAdmissible("parameter")
     isometric = t.is_isometric()
 
-    ext = PartialOperator(n, *_transport(
+    ext = PartialOperator(*_transport(
         np.hstack([a.dom.basis, t.matrix - t.src.basis]),
-        np.hstack([a.action, z * t.matrix - np.conj(z) * t.src.basis]), n, tol))
+        np.hstack([a.action, z * t.matrix - np.conj(z) * t.src.basis]), tol))
 
     full_dom = t.dim == pair_z.n_space.dim
     full_ran = isometric and t.dim == pair_zbar.n_space.dim
@@ -288,7 +290,7 @@ def neumann_parameter(b: PartialOperator, a: SymmetricOp, z: complex,
     sol, *_ = np.linalg.lstsq(shifted, src.basis, rcond=None)
     if nk.op_norm(shifted @ sol - src.basis) > 1e-8:
         raise NumericalFailure("defect vectors do not lie in the shifted range")
-    return PartialMap(src, n, (b.action - np.conj(z) * b.dom.basis) @ sol)
+    return PartialMap(src, (b.action - np.conj(z) * b.dom.basis) @ sol)
 
 
 def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst: Subspace,
@@ -312,8 +314,8 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
     # part of the forbidden operator that stays inside the chosen subspaces
     inside = nk.intersect(x.src, n_src, tol)
     if inside.dim:
-        kernel = nk.kernel((eye - nk.projector(n_dst)) @ x.ambient() @ inside.basis, n, tol)
-        core = Subspace(n, inside.basis @ kernel) if kernel.shape[1] else Subspace.empty(n)
+        kernel = nk.kernel((eye - nk.projector(n_dst)) @ x.ambient() @ inside.basis, tol)
+        core = Subspace(inside.basis @ kernel)
     else:
         core = Subspace.empty(n)
 
@@ -326,7 +328,7 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
         u0 = target.basis @ img.basis.conj().T
         overlap = nk.intersect(img, target, tol)
         if overlap.dim:
-            fixed = overlap.basis @ nk.kernel((u0 - eye) @ overlap.basis, n, tol)
+            fixed = overlap.basis @ nk.kernel((u0 - eye) @ overlap.basis, tol)
         else:
             fixed = np.zeros((n, 0), dtype=np.complex128)
         p_fixed = fixed @ fixed.conj().T
@@ -343,8 +345,8 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
         raise NumericalFailure("left-over defect directions do not balance")
     completion = rem_dst.basis @ nk.haar_unitary(rem_src.dim, rng)
 
-    src = Subspace(n, np.hstack([core.basis, rem_src.basis]))
-    result = PartialMap(src, n, np.hstack([corrected, completion]))
+    src = Subspace(np.hstack([core.basis, rem_src.basis]))
+    result = PartialMap(src, np.hstack([corrected, completion]))
     if not result.is_isometric(nk.BUILT_GATE):
         raise NumericalFailure("constructed map lost its isometry")
     if not is_admissible(a, z, result, tol):
@@ -357,7 +359,7 @@ def direct_sum(a: SymmetricOp, exit_op: SymmetricOp) -> SymmetricOp:
     n, m = a.ambient_dim, exit_op.ambient_dim
     dom = np.hstack([embed_inner(a.dom.basis, m), embed_exit(exit_op.dom.basis, n)])
     act = np.hstack([embed_inner(a.action, m), embed_exit(exit_op.action, n)])
-    return SymmetricOp(n + m, Subspace(n + m, dom), act)
+    return SymmetricOp(Subspace(dom), act)
 
 
 @dataclass(frozen=True)
@@ -372,26 +374,23 @@ class ExitFrames:
 
     @functools.cached_property
     def src(self) -> Subspace:
-        n = self.coupled.ambient_dim
-        return Subspace(n, np.hstack([self.src_inner.basis, self.src_exit.basis]))
+        return Subspace(np.hstack([self.src_inner.basis, self.src_exit.basis]))
 
     @functools.cached_property
     def dst(self) -> Subspace:
-        n = self.coupled.ambient_dim
-        return Subspace(n, np.hstack([self.dst_inner.basis, self.dst_exit.basis]))
+        return Subspace(np.hstack([self.dst_inner.basis, self.dst_exit.basis]))
 
 
 def exit_frames(a: SymmetricOp, exit_op: SymmetricOp, z: complex,
                 tol: TolPolicy = DEFAULT_TOL) -> ExitFrames:
     n, m = a.ambient_dim, exit_op.ambient_dim
-    nm = n + m
     coupled = direct_sum(a, exit_op)
     nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z, tol))
     nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z, tol))
     return ExitFrames(
         coupled,
-        Subspace(nm, embed_inner(nz_a.basis, m)), Subspace(nm, embed_exit(nz_e.basis, n)),
-        Subspace(nm, embed_inner(nzb_a.basis, m)), Subspace(nm, embed_exit(nzb_e.basis, n)),
+        Subspace(embed_inner(nz_a.basis, m)), Subspace(embed_exit(nz_e.basis, n)),
+        Subspace(embed_inner(nzb_a.basis, m)), Subspace(embed_exit(nzb_e.basis, n)),
     )
 
 
@@ -417,20 +416,19 @@ def block_param_from_map(tmap: PartialMap, frames: ExitFrames, isometry: bool = 
     )
 
 
-def compressed_parameter(a: SymmetricOp, exit_dim: int, z: complex,
-                         block: BlockParam, tol: TolPolicy = DEFAULT_TOL,
+def compressed_parameter(a: SymmetricOp, z: complex, block: BlockParam,
+                         tol: TolPolicy = DEFAULT_TOL,
                          exit_op: SymmetricOp | None = None) -> PartialMap:
     """Compression of a split defect parameter to the inner defect spaces.
 
-    For the trivial-domain exit operator the forbidden operator of the exit
-    space is the identity, and the compression reduces to
-    t11 + t12 (I - t22)^{-1} t21.  A general symmetric exit operator is
-    accepted; the same elimination then runs with its forbidden operator.
+    For the trivial-domain exit operator (the default, on the columns of
+    t22) the forbidden operator of the exit space is the identity, and the
+    compression reduces to t11 + t12 (I - t22)^{-1} t21.  A general symmetric
+    exit operator is accepted; the same elimination then runs with its
+    forbidden operator.
     """
     if exit_op is None:
-        exit_op = SymmetricOp.null(exit_dim)
-    if exit_op.ambient_dim != exit_dim:
-        raise ValueError("exit operator dimension mismatch")
+        exit_op = SymmetricOp.null(block.t22.shape[1])
     x_e = forbidden_operator(exit_op, z, tol)
     nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z, tol))
     # coordinates of the exit forbidden operator inside the exit defect frames
@@ -440,7 +438,7 @@ def compressed_parameter(a: SymmetricOp, exit_dim: int, z: complex,
     # the exit forbidden operator: both counts are the codimension of the exit
     # domain, so the system is square
     elim = img_c - block.t22 @ src_c
-    if not nk.injective(elim, exit_dim, tol)[0]:
+    if not nk.injective(elim, tol)[0]:
         raise T22NotAdmissible()
     if elim.shape[1]:
         psi2 = src_c @ nk.solve(elim, block.t21, tol)
@@ -466,11 +464,13 @@ def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: Block
     """
     if exit_op is None:
         exit_op = SymmetricOp.null(exit_dim)
+    if exit_op.ambient_dim != exit_dim:
+        raise ValueError("exit operator dimension mismatch")
     frames = exit_frames(a, exit_op, z, tol)
     if not nk.is_unitary(block.assembled(), nk.STRUCT_GATE):
         raise ValueError("self-adjoint models need a unitary block between full defect spaces")
     tmap = assemble_block_map(frames, block)
-    phi = compressed_parameter(a, exit_dim, z, block, tol, exit_op)
+    phi = compressed_parameter(a, z, block, tol, exit_op)
     if not is_admissible(a, z, phi, tol):
         raise NotAdmissible("phi")
     iso_block = BlockParam(block.t11, block.t12, block.t21, block.t22, isometry=True) \
@@ -483,8 +483,7 @@ def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: Block
         raise NumericalFailure("unitary block did not produce a self-adjoint extension")
     big = ext.full_matrix()
     big = (big + big.conj().T) / 2.0
-    return ExitSpaceModel(a.ambient_dim, exit_dim, "hermitian", big, a,
-                          anchor=z, block=iso_block, exit_op=exit_op)
+    return ExitSpaceModel(big, a, anchor=z, block=iso_block, exit_op=exit_op)
 
 
 def unitary_exit_extension(v: IsometryOp, exit_dim: int,
@@ -516,7 +515,7 @@ def unitary_exit_extension(v: IsometryOp, exit_dim: int,
     big = np.zeros((n + m, n + m), dtype=np.complex128)
     big[:n, :n] = v.ambient_partial()
     big += dst @ w_block @ src.conj().T
-    return ExitSpaceModel(n, m, "unitary", big, v)
+    return ExitSpaceModel(big, v)
 
 
 def compressed_extension(model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) -> PartialOperator:
@@ -528,10 +527,10 @@ def compressed_extension(model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) ->
     extension generated by the compressed parameter.
     """
     n = model.inner_dim
-    comp = PartialOperator(n, Subspace.full(n), model.big_op[:n, :n].copy())
+    comp = PartialOperator(Subspace.full(n), model.big_op[:n, :n].copy())
     if model.kind == "hermitian" and model.anchor is not None and model.block is not None:
         a = model.embeds
-        phi = compressed_parameter(a, model.exit_dim, model.anchor, model.block, tol, model.exit_op)
+        phi = compressed_parameter(a, model.anchor, model.block, tol, model.exit_op)
         ext, _ = neumann_extension(a, model.anchor, phi, tol)
         if not ext.is_everywhere_defined:
             raise InternalDisagreement("compressed parameter lost domain directions")

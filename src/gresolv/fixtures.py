@@ -21,7 +21,7 @@ def flip_dilation_isometric() -> tuple[IsometryOp, ExitSpaceModel]:
     """
     v = IsometryOp.null(1)
     u = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    return v, ExitSpaceModel(1, 1, "unitary", u, v)
+    return v, ExitSpaceModel(u, v)
 
 
 def flip_dilation_symmetric() -> tuple[SymmetricOp, ExitSpaceModel, complex, BlockParam]:
@@ -41,18 +41,17 @@ def flip_dilation_symmetric() -> tuple[SymmetricOp, ExitSpaceModel, complex, Blo
         t22=np.zeros((1, 1), dtype=np.complex128),
         isometry=True,
     )
-    model = ExitSpaceModel(1, 1, "hermitian", big, a, anchor=anchor, block=block,
-                           exit_op=SymmetricOp.null(1))
+    model = ExitSpaceModel(big, a, anchor=anchor, block=block, exit_op=SymmetricOp.null(1))
     return a, model, anchor, block
 
 
 def partial_identity_symmetric() -> SymmetricOp:
     """Symmetric operator on C^2 fixing e1, with domain span{e1}."""
     basis = np.array([[1.0], [0.0]], dtype=np.complex128)
-    return SymmetricOp(2, Subspace(2, basis), basis.copy())
+    return SymmetricOp(Subspace(basis), basis.copy())
 
 
 def partial_identity_isometry() -> IsometryOp:
     """Isometry on C^2 fixing e1, with domain span{e1}."""
     basis = np.array([[1.0], [0.0]], dtype=np.complex128)
-    return IsometryOp(2, Subspace(2, basis), basis.copy())
+    return IsometryOp(Subspace(basis), basis.copy())

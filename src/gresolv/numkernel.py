@@ -97,17 +97,17 @@ DEFAULT_TOL = TolPolicy()
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^n held as an orthonormal column frame (k may be 0)."""
+    """A subspace of C^n held as an orthonormal n x k column frame (k may be 0)."""
 
-    ambient_dim: int
     basis: CMatrix
 
     def __post_init__(self):
-        b = self.basis
-        if b.shape[0] != self.ambient_dim or b.shape[1] > self.ambient_dim:
-            raise ValueError(f"bad frame shape {b.shape} for ambient dim {self.ambient_dim}")
-        if isometry_defect(b) > STRUCT_GATE:
+        if isometry_defect(self.basis) > STRUCT_GATE:
             raise ValueError("frame columns are not orthonormal")
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:
@@ -115,11 +115,11 @@ class Subspace:
 
     @classmethod
     def empty(cls, n: int) -> "Subspace":
-        return cls(n, np.zeros((n, 0), dtype=np.complex128))
+        return cls(np.zeros((n, 0), dtype=np.complex128))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, np.eye(n, dtype=np.complex128))
+        return cls(np.eye(n, dtype=np.complex128))
 
 
 def _fix_phases(q: CMatrix) -> CMatrix:
@@ -146,7 +146,7 @@ def orthonormalize(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> Subspace:
     if s.size == 0 or s[0] == 0.0:
         return Subspace.empty(n)
     rank = int(np.sum(s > tol.threshold(s[0], n)))
-    return Subspace(n, _fix_phases(u[:, :rank]))
+    return Subspace(_fix_phases(u[:, :rank]))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
@@ -157,7 +157,7 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     if k == n:
         return Subspace.empty(n)
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(n, _fix_phases(u[:, k:]))
+    return Subspace(_fix_phases(u[:, k:]))
 
 
 def projector(s: Subspace) -> CMatrix:
@@ -184,29 +184,29 @@ def intersect(s1: Subspace, s2: Subspace, tol: TolPolicy = DEFAULT_TOL) -> Subsp
         return s1
     u, s, _ = np.linalg.svd(projector(s1) @ projector(s2))
     keep = s >= 1.0 - 100.0 * tol.abs_floor
-    return Subspace(n, _fix_phases(u[:, : int(np.sum(keep))]))
+    return Subspace(_fix_phases(u[:, : int(np.sum(keep))]))
 
 
-def injective(m: CMatrix, n: int, tol: TolPolicy = DEFAULT_TOL) -> tuple[bool, float]:
+def injective(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether ``m`` has a trivial numerical kernel, with its smallest singular value.
 
-    The smallest singular value must exceed the threshold for dimension ``n``
-    relative to max(sigma_max, 1); a matrix without columns is injective with
-    bound +inf.
+    The smallest singular value must exceed the threshold for the row count
+    of ``m`` relative to max(sigma_max, 1); a matrix without columns is
+    injective with bound +inf.
     """
     if m.shape[1] == 0:
         return True, np.inf
     s = np.linalg.svd(m, compute_uv=False)
-    return bool(s[-1] > tol.threshold(max(float(s[0]), 1.0), n)), float(s[-1])
+    return bool(s[-1] > tol.threshold(max(float(s[0]), 1.0), m.shape[0])), float(s[-1])
 
 
-def kernel(m: CMatrix, n: int, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def kernel(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     """Orthonormal columns spanning the numerical kernel of ``m``, under the
     threshold of ``injective``."""
     if m.size == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol.threshold(max(float(s[0]), 1.0), n)))
+    rank = int(np.sum(s > tol.threshold(max(float(s[0]), 1.0), m.shape[0])))
     return vh.conj().T[:, rank:]
 
 

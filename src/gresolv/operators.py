@@ -44,16 +44,17 @@ class PartialOperator:
     immutable, and the anchor-level builders memoize their results on them.
     """
 
-    ambient_dim: int
     dom: Subspace
     action: CMatrix
 
     def __post_init__(self):
-        if self.dom.ambient_dim != self.ambient_dim:
-            raise ValueError("domain lives in a different ambient space")
-        if self.action.shape != (self.ambient_dim, self.dom.dim):
+        if self.action.shape != self.dom.basis.shape:
             raise ValueError(f"action shape {self.action.shape} does not match domain")
         object.__setattr__(self, "_memo", {})
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.dom.ambient_dim
 
     def ambient_partial(self) -> CMatrix:
         """The everywhere-defined matrix acting as the operator on dom and 0 on dom^perp."""
@@ -72,7 +73,7 @@ class PartialOperator:
     @classmethod
     def null(cls, n: int):
         """The operator with trivial domain on C^n."""
-        return cls(n, Subspace.empty(n), np.zeros((n, 0), dtype=np.complex128))
+        return cls(Subspace.empty(n), np.zeros((n, 0), dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class IsometryOp(PartialOperator):
 
     @classmethod
     def random(cls, n: int, d: int, rng: np.random.Generator) -> "IsometryOp":
-        return cls(n, Subspace(n, nk.haar_frame(n, d, rng)), nk.haar_frame(n, d, rng))
+        return cls(Subspace(nk.haar_frame(n, d, rng)), nk.haar_frame(n, d, rng))
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,10 @@ class SymmetricOp(PartialOperator):
         dom = nk.haar_frame(n, d, rng)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         g = (g + g.conj().T) / 2.0
-        comp = nk.orthogonal_complement(Subspace(n, dom))
+        comp = nk.orthogonal_complement(Subspace(dom))
         r = rng.standard_normal((comp.dim, d)) + 1j * rng.standard_normal((comp.dim, d))
         action = dom @ g + comp.basis @ r
-        return cls(n, Subspace(n, dom), action)
+        return cls(Subspace(dom), action)
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,14 @@ def parameter_frames(op: PartialOperator, anchor,
     return _memoized(op, "frames", anchor, tol, build)
 
 
-def _transport(raw_dom: CMatrix, raw_ran: CMatrix, n: int, tol: TolPolicy) -> tuple[Subspace, CMatrix]:
+def _transport(raw_dom: CMatrix, raw_ran: CMatrix, tol: TolPolicy) -> tuple[Subspace, CMatrix]:
     """Orthonormalize a raw domain frame and re-express the images accordingly.
 
     Requires ``raw_dom`` to have full column rank: the map raw_dom x -> raw_ran x
     becomes Q y -> (raw_ran C^-1) y with Q C = raw_dom.
     """
     if raw_dom.shape[1] == 0:
-        return Subspace.empty(n), np.zeros((n, 0), dtype=np.complex128)
+        return Subspace(raw_dom), raw_ran
     q = nk.orthonormalize(raw_dom, tol)
     if q.dim != raw_dom.shape[1]:
         raise NumericalFailure("raw domain frame is rank deficient")
@@ -210,8 +211,8 @@ def moebius_transform(v: IsometryOp, z: complex, tol: TolPolicy = DEFAULT_TOL) -
         raise ValueError("transform point must lie in the open unit disk")
     def build():
         d, r = v.dom.basis, v.ran_basis
-        q, images = _transport(d - z * r, r - np.conj(z) * d, v.ambient_dim, tol)
-        return IsometryOp(v.ambient_dim, q, nk.symmetric_orthogonalize(images))
+        q, images = _transport(d - z * r, r - np.conj(z) * d, tol)
+        return IsometryOp(q, nk.symmetric_orthogonalize(images))
     return _memoized(v, "moebius", z, tol, build)
 
 
@@ -224,20 +225,19 @@ def cayley_transform(op: PartialOperator, z: complex,
     symmetric operator sending (W - E) g to (z W - conj(z) E) g.
     """
     require_nonreal(z)
-    n = op.ambient_dim
     if isinstance(op, SymmetricOp):
         def build():
             d, a = op.dom.basis, op.action
-            q, images = _transport(a - z * d, a - np.conj(z) * d, n, tol)
-            return IsometryOp(n, q, nk.symmetric_orthogonalize(images))
+            q, images = _transport(a - z * d, a - np.conj(z) * d, tol)
+            return IsometryOp(q, nk.symmetric_orthogonalize(images))
         return _memoized(op, "cayley", z, tol, build)
     if not isinstance(op, IsometryOp):
         raise TypeError("the Cayley transform expects a symmetric operator or an isometry")
     if not is_regular_type(op, 1.0, tol)[0]:
         raise FixedPointObstruction("isometry fixes a non-zero vector; no symmetric inverse")
     d, r = op.dom.basis, op.ran_basis
-    q, images = _transport(r - d, z * r - np.conj(z) * d, n, tol)
-    return SymmetricOp(n, q, images)
+    q, images = _transport(r - d, z * r - np.conj(z) * d, tol)
+    return SymmetricOp(q, images)
 
 
 def is_regular_type(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) -> tuple[bool, float]:

@@ -134,9 +134,12 @@ def _imaginary_ray(anchor: complex) -> tuple[complex, ...]:
 class ResolventModel:
     """An evaluable generalized resolvent of an operator."""
 
-    ambient_dim: int
     operator: PartialOperator
     _eval: Callable[[complex, bool], CMatrix] = field(repr=False)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.operator.ambient_dim
 
     def __call__(self, point: complex, boundary_ok: bool = False) -> CMatrix:
         return self._eval(complex(point), boundary_ok)
@@ -146,7 +149,7 @@ class ResolventModel:
                         tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
         def ev(point, boundary_ok):
             return direct_sum_resolvent(v, param, point, tol, boundary_ok)
-        return cls(v.ambient_dim, v, ev)
+        return cls(v, ev)
 
     @classmethod
     def from_extension_family(cls, a: SymmetricOp, param: ContractionParam,
@@ -154,13 +157,13 @@ class ResolventModel:
                               tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
         def ev(point, boundary_ok):
             return extension_resolvent(a, param, anchor, point, tol, boundary_ok)
-        return cls(a.ambient_dim, a, ev)
+        return cls(a, ev)
 
     @classmethod
     def from_dilation(cls, model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
         def ev(point, boundary_ok):
             return dilation_resolvent(model, point, tol)
-        return cls(model.inner_dim, model.embeds, ev)
+        return cls(model.embeds, ev)
 
 
 def _solve_at(point: complex, m: CMatrix, b: CMatrix, tol: TolPolicy) -> CMatrix:
@@ -431,7 +434,7 @@ def generating_extension(r: ResolventModel, lam: complex,
     lam = complex(lam)
     n = r.ambient_dim
     mat = _solve_at(lam, r(lam), np.eye(n), tol) + lam * np.eye(n)
-    return PartialOperator(n, Subspace.full(n), mat)
+    return PartialOperator(Subspace.full(n), mat)
 
 
 def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: complex,
@@ -607,14 +610,13 @@ def admissible_class_check(param: ContractionParam, a: SymmetricOp, anchor: comp
     x = forbidden_operator(a, anchor, tol)
     if x.dim == 0:
         return ClassVerdict(True, True, "dense domain, every family is admissible")
-    n = a.ambient_dim
     limit = param.boundary_limit()
     if limit is not None:
         limit_map = PartialMap.from_coords(param.src, param.dst, limit)
         common = nk.intersect(param.src, x.src, tol)
         if common.dim == 0:
             return ClassVerdict(True, True, "no overlap with the forbidden domain")
-        ok, sigma = nk.injective((limit_map.ambient() - x.ambient()) @ common.basis, n, tol)
+        ok, sigma = nk.injective((limit_map.ambient() - x.ambient()) @ common.basis, tol)
         return ClassVerdict(ok, True, f"limit separation {sigma:.3e}")
 
     # sampled verdict for callbacks: locate the best candidate for a violating

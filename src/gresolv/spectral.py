@@ -320,13 +320,13 @@ def in_space_atoms(op: PartialOperator, param: ContractionParam, anchor: complex
     if not nk.is_unitary(value, nk.STRUCT_GATE):
         return None
     if side.kind == "circle":
-        kind, big = "unitary", orthogonal_extension(op, value, side.anchor, tol)
+        big = orthogonal_extension(op, value, side.anchor, tol)
     else:
         ext, cls = neumann_extension(op, side.anchor, PartialMap.from_coords(src, dst, value), tol)
         if not cls.self_adjoint:
             return None
-        kind, big = "hermitian", ext.full_matrix()
-    return spectral_measure(ExitSpaceModel(op.ambient_dim, 0, kind, big, op), tol)
+        big = ext.full_matrix()
+    return spectral_measure(ExitSpaceModel(big, op), tol)
 
 
 def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
@@ -479,7 +479,7 @@ def decomposition_check(v: IsometryOp, zeta: complex,
     results = {}
     for name, frame in (("dom", v.dom.basis), ("ran", v.ran_basis)):
         stacked = np.hstack([frame, n_zeta.basis])
-        results[name] = nk.injective(stacked, n, tol) if stacked.shape[1] == n else (False, 0.0)
+        results[name] = nk.injective(stacked, tol) if stacked.shape[1] == n else (False, 0.0)
     return DecompositionCheck(results["dom"][0], results["ran"][0],
                               {"dom_margin": results["dom"][1],
                                "ran_margin": results["ran"][1]})
@@ -517,8 +517,8 @@ def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex,
     del u
     pair = defect_subspaces(v, zeta, tol)
     defect_res = float(np.linalg.norm(nk.projector(pair.m_space) @ vec))
-    p_m0 = nk.projector(Subspace(n, v.dom.basis))
-    p_minf = nk.projector(Subspace(n, v.ran_basis))
+    p_m0 = nk.projector(v.dom)
+    p_minf = nk.projector(Subspace(v.ran_basis))
     dom_res = float(np.linalg.norm(
         v.ambient_partial() @ (p_m0 @ vec) - target * (p_minf @ vec)))
     par_res = float(np.linalg.norm(

@@ -74,15 +74,13 @@ def test_criterion_3_resolvent_axioms_and_mutations():
         if not rep.all_passed:
             mutations_ok = False
         # scaled mutation: the normalization axiom is the designated failure
-        halved = g.ResolventModel(v.ambient_dim, v,
-                                  lambda p, b=False, o=oracle: 0.5 * o(p, b))
+        halved = g.ResolventModel(v, lambda p, b=False, o=oracle: 0.5 * o(p, b))
         rep_h = g.verify_resolvent_axioms(halved, v)
         mutations_ok &= not rep_h.check("normalization-at-zero").passed
         # shifted (argument-dilated) mutation: the domain identity is the
         # designated failure while the normalization stays intact
         if v.dom.dim:
-            shifted = g.ResolventModel(v.ambient_dim, v,
-                                       lambda p, b=False, o=oracle: o(0.9 * p, b))
+            shifted = g.ResolventModel(v, lambda p, b=False, o=oracle: o(0.9 * p, b))
             rep_s = g.verify_resolvent_axioms(shifted, v)
             mutations_ok &= not rep_s.check("domain-identity").passed
             mutations_ok &= rep_s.check("normalization-at-zero").passed
@@ -112,7 +110,7 @@ def test_criterion_4_exact_fixtures():
     worst = max(worst, abs(g.defect_block(r2, a2, anchor, 2j)[0, 0] + 1.0 / 3.0))
     # coupling block of the flip extension at the anchor
     coupled = exit_frames(a2, g.SymmetricOp.null(1), anchor)
-    big_as_op = g.PartialOperator(2, g.Subspace.full(2), model2.big_op)
+    big_as_op = g.PartialOperator(g.Subspace.full(2), model2.big_op)
     tmap = neumann_parameter(big_as_op, coupled.coupled, anchor)
     block = block_param_from_map(tmap, coupled)
     worst = max(worst, abs(block.t11[0, 0]), abs(block.t12[0, 0] - 1j),
@@ -290,12 +288,12 @@ def test_criterion_8_neumann_classification_and_admissibility():
                 src_full = g.defect_subspaces(a, 1j).n_space
                 dst_full = g.defect_subspaces(a, -1j).n_space
                 for q in range(src_full.dim + 1):
-                    sub_src = g.Subspace(n, src_full.basis[:, :q])
-                    sub_dst = g.Subspace(n, dst_full.basis[:, :q])
+                    sub_src = g.Subspace(src_full.basis[:, :q])
+                    sub_dst = g.Subspace(dst_full.basis[:, :q])
                     tmap = g.build_admissible_isometry(a, 1j, sub_src, sub_dst,
                                                        seed=int(rng.integers(2**32)))
                     ext, cls = g.neumann_extension(a, 1j, tmap)
-                    b_sym = g.SymmetricOp(n, ext.dom, ext.action)
+                    b_sym = g.SymmetricOp(ext.dom, ext.action)
                     defect_plus = g.defect_subspaces(b_sym, 1j).n_space.dim
                     defect_minus = g.defect_subspaces(b_sym, -1j).n_space.dim
                     cases += 1

@@ -76,7 +76,7 @@ def test_report_is_deterministic(tmp_path):
 
 def test_spectrum_output_fixture(tmp_path):
     v, model = flip_dilation_isometric()
-    inst = cli.InstanceFile("isometric", 1, v.dom.basis, v.ran_basis, 1,
+    inst = cli.InstanceFile("isometric", v.dom.basis, v.ran_basis,
                             np.array([[0, 1], [1, 0]], dtype=complex), 1j, None, 0)
     path = tmp_path / "i1.json"
     cli.save_instance(inst, path)
@@ -95,7 +95,7 @@ def test_resolvent_output_values(tmp_path):
     from gresolv.fixtures import flip_dilation_symmetric
     _, model, _, _ = flip_dilation_symmetric()
     a = model.embeds
-    inst = cli.InstanceFile("symmetric", 1, a.dom.basis, a.action, 1,
+    inst = cli.InstanceFile("symmetric", a.dom.basis, a.action,
                             np.array([[0, 1j], [1j, 0]], dtype=complex), 1j, None, 0)
     path = tmp_path / "i2.json"
     cli.save_instance(inst, path)
@@ -118,7 +118,7 @@ def test_gap_command_lists_atom(tmp_path):
     v = partial_identity_isometry()
     param = {"form": "constant", "value": cli._m_to_json(np.array([[1j]], dtype=complex)),
              "z0": [0.0, 0.0]}
-    inst = cli.InstanceFile("isometric", 2, v.dom.basis, v.ran_basis, 0, None, 1j, param, 0)
+    inst = cli.InstanceFile("isometric", v.dom.basis, v.ran_basis, None, 1j, param, 0)
     inst.exit_block = None
     path = tmp_path / "i4.json"
     cli.save_instance(inst, path)
@@ -234,6 +234,11 @@ def test_numerical_failure_exits_with_code_2(tmp_path, monkeypatch, capsys):
 
 
 #: edits of a valid instance object, keyed by the field the parse error names
+def _ragged(rows):
+    """The rows with one cell cut from the last one."""
+    return rows[:-1] + [rows[-1][:-1]]
+
+
 MALFORMED = {
     "parameter": lambda obj: {**obj, "parameter": [1]},
     "parameter.form": lambda obj: {**obj, "parameter": {
@@ -252,6 +257,12 @@ MALFORMED = {
     "domain_dim=9": lambda obj: {**obj, "domain_dim": 9},
     "exit.dim=-1": lambda obj: {**obj, "exit": {**obj["exit"], "dim": -1}},
     "exit.dim=5": lambda obj: {**obj, "exit": {**obj["exit"], "dim": 5}},
+    # matrices whose rows differ in length
+    "domain_basis=ragged": lambda obj: {**obj, "domain_basis": _ragged(obj["domain_basis"])},
+    "exit.block=ragged": lambda obj: {
+        **obj, "exit": {**obj["exit"], "block": _ragged(obj["exit"]["block"])}},
+    "parameter.value=ragged": lambda obj: {
+        **obj, "parameter": {**obj["parameter"], "value": _ragged(obj["parameter"]["value"])}},
 }
 
 
@@ -321,7 +332,7 @@ def test_instance_without_ambient_dimensions_exits_2(tmp_path, capsys):
         assert not out.exists()
     empty = np.zeros((0, 0), dtype=complex)
     path = tmp_path / "n0.json"
-    cli.save_instance(cli.InstanceFile("isometric", 0, empty, empty, 1, np.eye(1), 1j,
+    cli.save_instance(cli.InstanceFile("isometric", empty, empty, np.eye(1), 1j,
                                        {"form": "constant", "value": []}, 0), path)
     with pytest.raises(cli.ParseError, match="^ambient_dim:"):
         cli.load_instance(path)

@@ -177,8 +177,8 @@ def test_build_admissible_isometry_partial_subspaces(rng):
         a = g.SymmetricOp.random(n, d, rng)
         src, dst = defects(a, 1j)
         q = int(rng.integers(1, src.dim + 1))
-        sub_src = g.Subspace(n, src.basis[:, :q])
-        sub_dst = g.Subspace(n, dst.basis[:, :q])
+        sub_src = g.Subspace(src.basis[:, :q])
+        sub_dst = g.Subspace(dst.basis[:, :q])
         result = g.build_admissible_isometry(a, 1j, sub_src, sub_dst, seed=3)
         assert result.dim == q and result.is_isometric(1e-10)
         assert g.is_admissible(a, 1j, result)
@@ -201,7 +201,7 @@ def test_exit_space_rejects_identity_block():
 def test_exit_space_self_adjoint_inner_operator(rng):
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (h + h.conj().T) / 2.0
-    a = g.SymmetricOp(3, g.Subspace.full(3), h)
+    a = g.SymmetricOp(g.Subspace.full(3), h)
     empty = np.zeros((0, 0))
     block = g.BlockParam(empty, empty, empty, empty, isometry=True)
     model = g.exit_space_extension(a, 0, 1j, block)
@@ -210,7 +210,7 @@ def test_exit_space_self_adjoint_inner_operator(rng):
 
 def test_compressed_parameter_fixture():
     a, _, anchor, block = flip_dilation_symmetric()
-    phi = g.compressed_parameter(a, 1, anchor, block)
+    phi = g.compressed_parameter(a, anchor, block)
     src, dst = defects(a, anchor)
     np.testing.assert_allclose(dst.basis.conj().T @ phi.matrix, [[-1.0]], atol=1e-12)
 
@@ -224,12 +224,12 @@ def test_compressed_parameter_block_diagonal_collapses(rng):
     zero12 = np.zeros((k, m))
     zero21 = np.zeros((m, k))
     t22 = 0.5 * nk.haar_unitary(m, rng)
-    phi = g.compressed_parameter(a, m, 1j, g.BlockParam(t11, zero12, zero21, t22))
+    phi = g.compressed_parameter(a, 1j, g.BlockParam(t11, zero12, zero21, t22))
     np.testing.assert_allclose(dst.basis.conj().T @ phi.matrix, t11, atol=1e-12)
     # with only the lower coupling removed, the compression still collapses
     t12 = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
     t12 *= 0.2 / max(nk.op_norm(t12), 1.0)
-    phi2 = g.compressed_parameter(a, m, 1j, g.BlockParam(0.5 * t11, t12, zero21, t22))
+    phi2 = g.compressed_parameter(a, 1j, g.BlockParam(0.5 * t11, t12, zero21, t22))
     np.testing.assert_allclose(dst.basis.conj().T @ phi2.matrix, 0.5 * t11, atol=1e-12)
 
 
@@ -238,12 +238,12 @@ def test_compressed_parameter_rejects_unit_t22():
     block = g.BlockParam(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
                          np.eye(1, dtype=complex))
     with pytest.raises(g.T22NotAdmissible):
-        g.compressed_parameter(a, 1, 1j, block)
+        g.compressed_parameter(a, 1j, block)
 
 
 def test_compressed_isometric_when_block_isometric(rng):
     a, model, block = random_symmetric_model(rng, n_max=5, m_max=4)
-    phi = g.compressed_parameter(a, model.exit_dim, model.anchor, model.block)
+    phi = g.compressed_parameter(a, model.anchor, model.block)
     assert phi.is_isometric(1e-10)
 
 
@@ -256,8 +256,8 @@ def test_compressed_extension_fixture():
 def test_compressed_extension_no_exit(rng):
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     h = (h + h.conj().T) / 2.0
-    a = g.SymmetricOp(2, g.Subspace.full(2), h)
-    model = g.ExitSpaceModel(2, 0, "hermitian", h, a)
+    a = g.SymmetricOp(g.Subspace.full(2), h)
+    model = g.ExitSpaceModel(h, a)
     np.testing.assert_allclose(g.compressed_extension(model).full_matrix(), h, atol=1e-14)
 
 
@@ -266,7 +266,7 @@ def test_compressed_extension_self_adjoint_inner(rng):
     # is the operator itself even with a nontrivial exit space
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     h = (h + h.conj().T) / 2.0
-    a = g.SymmetricOp(2, g.Subspace.full(2), h)
+    a = g.SymmetricOp(g.Subspace.full(2), h)
     a_e = g.SymmetricOp.null(2)
     frames = exit_frames(a, a_e, 1j)
     tmap = g.build_admissible_isometry(frames.coupled, 1j, frames.src, frames.dst, seed=5)
@@ -297,11 +297,11 @@ def test_maximality_matches_defect_counts(rng):
         a = g.SymmetricOp.random(n, d, rng)
         src, dst = defects(a, 1j)
         q = int(rng.integers(0, src.dim + 1))
-        sub_src = g.Subspace(n, src.basis[:, :q])
-        sub_dst = g.Subspace(n, dst.basis[:, :q])
+        sub_src = g.Subspace(src.basis[:, :q])
+        sub_dst = g.Subspace(dst.basis[:, :q])
         tmap = g.build_admissible_isometry(a, 1j, sub_src, sub_dst, seed=int(rng.integers(2**32)))
         ext, cls = g.neumann_extension(a, 1j, tmap)
-        b_sym = g.SymmetricOp(n, ext.dom, ext.action)
+        b_sym = g.SymmetricOp(ext.dom, ext.action)
         defect_dim = g.defect_subspaces(b_sym, 1j).n_space.dim
         assert cls.maximal == (defect_dim == 0)
         assert cls.self_adjoint == (defect_dim == 0 and

@@ -54,7 +54,7 @@ def test_orthonormalize_zero_matrix():
 
 
 def test_complement_of_e1():
-    sub = nk.Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
+    sub = nk.Subspace(np.array([[1.0], [0.0]], dtype=complex))
     comp = nk.orthogonal_complement(sub)
     np.testing.assert_allclose(np.abs(comp.basis), [[0.0], [1.0]], atol=1e-14)
 
@@ -75,7 +75,7 @@ def test_complement_diagonal_direction():
 
 
 def test_projector_values():
-    e1 = nk.Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
+    e1 = nk.Subspace(np.array([[1.0], [0.0]], dtype=complex))
     np.testing.assert_allclose(nk.projector(e1), np.diag([1.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(nk.projector(nk.Subspace.empty(2)), np.zeros((2, 2)))
     diag = nk.orthonormalize(np.array([[1.0], [1.0]]))
@@ -153,7 +153,7 @@ def test_complement_involution(rng):
     for _ in range(25):
         n = int(rng.integers(1, 12))
         k = int(rng.integers(0, n + 1))
-        sub = nk.Subspace(n, nk.haar_frame(n, k, rng))
+        sub = nk.Subspace(nk.haar_frame(n, k, rng))
         back = nk.orthogonal_complement(nk.orthogonal_complement(sub))
         assert nk.op_norm(nk.projector(back) - nk.projector(sub)) < 1e-10
 

@@ -9,7 +9,7 @@ from gresolv.fixtures import partial_identity_symmetric, partial_identity_isomet
 
 
 def scalar_iso(u: complex) -> g.IsometryOp:
-    return g.IsometryOp(1, g.Subspace.full(1), np.array([[u]], dtype=complex))
+    return g.IsometryOp(g.Subspace.full(1), np.array([[u]], dtype=complex))
 
 
 def test_defects_of_null_operator():
@@ -73,7 +73,7 @@ def test_moebius_preserves_unitarity_both_ways(rng):
 
 
 def test_cayley_scalar_dense():
-    a = g.SymmetricOp(1, g.Subspace.full(1), np.array([[2.5]], dtype=complex))
+    a = g.SymmetricOp(g.Subspace.full(1), np.array([[2.5]], dtype=complex))
     u = g.cayley_transform(a, 1j)
     expected = (2.5 + 1j) / (2.5 - 1j)
     value = u.ran_basis[0, 0] / u.dom.basis[0, 0]
@@ -172,7 +172,7 @@ def test_orthogonal_extension_rejects_expansion():
 
 def test_classify_signs_scalars():
     def op_of(value):
-        return g.PartialOperator(1, g.Subspace.full(1), np.array([[value]], dtype=complex))
+        return g.PartialOperator(g.Subspace.full(1), np.array([[value]], dtype=complex))
 
     assert g.classify_signs(op_of(1j)) == "dissipative"
     assert g.classify_signs(op_of(0.0)) == "symmetric"
@@ -180,7 +180,7 @@ def test_classify_signs_scalars():
 
 
 def test_classify_signs_mixed():
-    op = g.PartialOperator(2, g.Subspace.full(2), np.diag([1j, -1j]).astype(complex))
+    op = g.PartialOperator(g.Subspace.full(2), np.diag([1j, -1j]).astype(complex))
     assert g.classify_signs(op) == "neither"
 
 

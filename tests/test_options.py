@@ -4,12 +4,16 @@ Every parameter is read by its function's body.  Every defaulted parameter is
 set, by keyword or by position, by some call in ``src/``, ``tests/``,
 ``demos/`` or ``perfbench/``, and not every call that sets it passes the
 default value itself.  Calls are matched by the called name alone, so two
-functions sharing a name share their callers."""
+functions sharing a name share their callers.  No dataclass stores an
+integer beside its arrays: a dimension is the shape of the array it counts."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: integer dataclass fields that are not the shape of an array
+INT_FIELDS = {"InstanceFile.seed"}
 
 #: ``tol`` is threaded through by callers that hold a policy; models are
 #: called as values, ``r(point, boundary_ok=True)``
@@ -108,3 +112,15 @@ def test_no_defaulted_parameter_is_only_ever_set_to_its_default():
         if values and all(v is not None and _same_value(v, default) for v in values):
             redundant.append(qual)
     assert redundant == [], f"defaulted parameters every caller sets to the default: {redundant}"
+
+
+def test_no_dataclass_stores_a_dimension_beside_its_arrays():
+    stored = []
+    for tree in _trees("src"):
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                continue
+            stored += [f"{cls.name}.{node.target.id}" for node in cls.body
+                       if isinstance(node, ast.AnnAssign) and ast.unparse(node.annotation) == "int"]
+    extra = [name for name in stored if name not in INT_FIELDS]
+    assert extra == [], f"integer fields beside arrays: {extra}"

@@ -15,8 +15,7 @@ from tests.conftest import random_isometric_model, random_symmetric_model
 
 def _fresh(op):
     """The same operator rebuilt from copies of its arrays, with nothing memoized."""
-    n = op.ambient_dim
-    return type(op)(n, g.Subspace(n, op.dom.basis.copy()), op.action.copy())
+    return type(op)(g.Subspace(op.dom.basis.copy()), op.action.copy())
 
 
 def _cayley(op, z, *tol):

@@ -31,8 +31,7 @@ def sym_param(a, anchor, fn=None, constant=None):
 
 
 def identity_model(v):
-    return g.ResolventModel(v.ambient_dim, v,
-                            lambda p, b=False: np.eye(v.ambient_dim, dtype=complex))
+    return g.ResolventModel(v, lambda p, b=False: np.eye(v.ambient_dim, dtype=complex))
 
 
 # ------------------------------------------------------- direct-sum formula
@@ -118,10 +117,9 @@ def test_anchored_at_origin_is_identity(rng):
 def _rotated(param, rng):
     """The same map as a constant ``param``, written in Haar-rotated
     orthonormal bases of the same defect spaces."""
-    n = param.src.ambient_dim
     q_src, q_dst = nk.haar_unitary(param.src.dim, rng), nk.haar_unitary(param.dst.dim, rng)
     return g.ContractionParam.constant(
-        g.Subspace(n, param.src.basis @ q_src), g.Subspace(n, param.dst.basis @ q_dst),
+        g.Subspace(param.src.basis @ q_src), g.Subspace(param.dst.basis @ q_dst),
         q_dst.conj().T @ param.form[1] @ q_src, param.anchor)
 
 
@@ -281,7 +279,7 @@ def test_affine_parameter_value_limit_and_bound(rng):
 def test_dilation_unitary_scalar():
     v = g.IsometryOp.null(1)
     u = np.array([[0, 1j], [1j, 0]], dtype=complex)
-    model = g.ExitSpaceModel(1, 1, "unitary", u, v)
+    model = g.ExitSpaceModel(u, v)
     zeta = 1.0 / 3.0
     np.testing.assert_allclose(g.dilation_resolvent(model, zeta),
                                [[1.0 / (1.0 + zeta**2)]], atol=1e-14)
@@ -294,7 +292,7 @@ def test_dilation_hermitian_scalar():
 
 def test_dilation_no_exit_is_plain_resolvent(rng):
     v = g.IsometryOp.random(3, 3, rng)
-    model = g.ExitSpaceModel(3, 0, "unitary", v.full_matrix(), v)
+    model = g.ExitSpaceModel(v.full_matrix(), v)
     zeta = 0.3 - 0.2j
     expected = nk.inv(np.eye(3) - zeta * v.full_matrix())
     np.testing.assert_allclose(g.dilation_resolvent(model, zeta), expected, atol=1e-12)
@@ -356,8 +354,7 @@ def test_axioms_fail_for_identity_resolvent(rng):
 def test_axioms_fail_for_halved_resolvent():
     v, model = flip_dilation_isometric()
     base = g.ResolventModel.from_dilation(model)
-    halved = g.ResolventModel(1, v,
-                              lambda p, b=False: 0.5 * base(p, b))
+    halved = g.ResolventModel(v, lambda p, b=False: 0.5 * base(p, b))
     report = g.verify_resolvent_axioms(halved, v)
     assert not report.check("normalization-at-zero").passed
 
@@ -381,8 +378,7 @@ def test_cayley_transfer_roundtrip(rng):
     for lam in points:
         zeta = (lam - z) / (lam - np.conj(z))
         via = g.cayley_transfer(r_s, z, zeta)
-        wrapped = g.ResolventModel(a.ambient_dim, g.cayley_transform(a, z),
-                                   lambda p, b=False, v=via: v)
+        wrapped = g.ResolventModel(g.cayley_transform(a, z), lambda p, b=False, v=via: v)
         back = g.cayley_transfer(wrapped, z, lam)
         np.testing.assert_allclose(back, r_s(lam), atol=1e-10)
 
@@ -390,8 +386,8 @@ def test_cayley_transfer_roundtrip(rng):
 def test_cayley_transfer_self_adjoint_matches_fredholm(rng):
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (h + h.conj().T) / 2.0
-    a = g.SymmetricOp(3, g.Subspace.full(3), h)
-    model = g.ExitSpaceModel(3, 0, "hermitian", h, a)
+    a = g.SymmetricOp(g.Subspace.full(3), h)
+    model = g.ExitSpaceModel(h, a)
     r_s = g.ResolventModel.from_dilation(model)
     z = 1j
     u = g.cayley_transform(a, z).full_matrix()
@@ -405,14 +401,14 @@ def test_cayley_transfer_excluded_points():
     r_s = g.ResolventModel.from_dilation(model)
     with pytest.raises(g.PointExcluded):
         g.cayley_transfer(r_s, anchor, 0.0)
-    r_u = g.ResolventModel(a.ambient_dim, g.cayley_transform(a, anchor),
+    r_u = g.ResolventModel(g.cayley_transform(a, anchor),
                            lambda p, b=False: g.cayley_transfer(r_s, anchor, p))
     with pytest.raises(g.PointExcluded):
         g.cayley_transfer(r_u, anchor, anchor)
 
 
 def test_cayley_transfer_rejects_other_operators():
-    model = g.ResolventModel(2, g.PartialOperator.null(2),
+    model = g.ResolventModel(g.PartialOperator.null(2),
                              lambda p, b=False: np.eye(2, dtype=complex))
     with pytest.raises(TypeError):
         g.cayley_transfer(model, 1j, 0.5)
@@ -474,8 +470,8 @@ def test_generating_extension_sign_classification(rng):
 def test_generating_extension_self_adjoint_is_constant(rng):
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     h = (h + h.conj().T) / 2.0
-    a = g.SymmetricOp(2, g.Subspace.full(2), h)
-    model = g.ExitSpaceModel(2, 0, "hermitian", h, a)
+    a = g.SymmetricOp(g.Subspace.full(2), h)
+    model = g.ExitSpaceModel(h, a)
     r = g.ResolventModel.from_dilation(model)
     for lam in (1j, 2 - 3j):
         np.testing.assert_allclose(g.generating_extension(r, lam).full_matrix(), h, atol=1e-10)
@@ -503,8 +499,8 @@ def test_defect_block_self_adjoint_inner(rng):
     # transform restricted to the (trivial) defect space
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     h = (h + h.conj().T) / 2.0
-    a = g.SymmetricOp(2, g.Subspace.full(2), h)
-    model = g.ExitSpaceModel(2, 0, "hermitian", h, a)
+    a = g.SymmetricOp(g.Subspace.full(2), h)
+    model = g.ExitSpaceModel(h, a)
     r = g.ResolventModel.from_dilation(model)
     coords = g.defect_block(r, a, 1j, 2j)
     assert coords.shape == (0, 0)
@@ -578,6 +574,22 @@ def test_defect_block_via_char_matches_dilation_with_general_exit(rng):
             assert nk.op_norm(via_char - via_dilation) < 1e-9
 
 
+def test_defect_block_via_char_with_self_adjoint_exit(rng):
+    # a densely defined exit operator has no defects: its characteristic
+    # function is the 0 x 0 matrix and the defect block is t11
+    for _ in range(5):
+        m = int(rng.integers(1, 5))
+        exit_op = g.SymmetricOp.random(m, m, rng)
+        a, model, block = random_symmetric_model(rng, n_max=6, m_max=4, exit_op=exit_op)
+        r = g.ResolventModel.from_dilation(model)
+        for lam in (2j, 0.5 + 1.2j):
+            assert g.characteristic_function(exit_op, model.anchor, lam).shape == (0, 0)
+            via_char = g.defect_block_via_characteristic(block, exit_op, model.anchor, lam)
+            np.testing.assert_array_equal(via_char, block.t11)
+            via_dilation = g.defect_block(r, a, model.anchor, lam, validate=False)
+            assert nk.op_norm(via_char - via_dilation) < 1e-9
+
+
 # ---------------------------------------------------------------- boundary limits
 
 def test_boundary_parameter_fixture():
@@ -593,8 +605,8 @@ def test_boundary_parameter_fixture():
 def test_boundary_parameter_no_exit_error_vanishes(rng):
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     h = (h + h.conj().T) / 2.0
-    a = g.SymmetricOp(2, g.Subspace.full(2), h)
-    model = g.ExitSpaceModel(2, 0, "hermitian", h, a)
+    a = g.SymmetricOp(g.Subspace.full(2), h)
+    model = g.ExitSpaceModel(h, a)
     report = g.boundary_parameter(a, model, 1j)
     assert report.limit_errors.size == 0 or report.limit_errors.max() < 1e-12
 

@@ -33,8 +33,8 @@ def test_spectral_measure_line_fixture():
 
 def test_spectral_measure_in_space_unitary(rng):
     diag = np.diag(np.exp(1j * np.array([0.5, 1.5, 4.0])))
-    v = g.IsometryOp(3, g.Subspace.full(3), diag)
-    model = g.ExitSpaceModel(3, 0, "unitary", diag, v)
+    v = g.IsometryOp(g.Subspace.full(3), diag)
+    model = g.ExitSpaceModel(diag, v)
     atoms = g.spectral_measure(model)
     np.testing.assert_allclose(atoms.locations(), [0.5, 1.5, 4.0], atol=1e-12)
     for loc, weight in atoms.atoms:
@@ -190,7 +190,7 @@ def test_gap_report_anchored_parameter(rng):
     c = nk.haar_unitary(2, rng)
     param = g.ContractionParam.constant(src, dst, c)
     ext = g.orthogonal_extension(v, c, z0)
-    model = g.ExitSpaceModel(3, 0, "unitary", ext, v)
+    model = g.ExitSpaceModel(ext, v)
     atoms = g.spectral_measure(model)
     locs = atoms.locations()
     gaps = sorted(zip(locs, list(locs[1:]) + [locs[0] + 2 * np.pi]),
@@ -213,7 +213,7 @@ def test_gap_report_guards():
     with pytest.raises(ValueError):
         g.gap_report(v, param, 0.0, g.ArcSpec("line", 0.5, 1.0))
     with pytest.raises(TypeError):
-        plain = g.PartialOperator(v.ambient_dim, v.dom, v.action)
+        plain = g.PartialOperator(v.dom, v.action)
         g.gap_report(plain, param, 0.0, g.ArcSpec("circle", 0.5, 1.0))
     a = g.SymmetricOp.null(1)
     src = g.defect_subspaces(a, 1j).n_space

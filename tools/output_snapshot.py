@@ -1,7 +1,8 @@
 """Snapshot the CLI and demo outputs of one checkout, for byte-identity checks.
 
-Run it with the checkout's ``src`` on ``PYTHONPATH``; the demos are taken from
-the same checkout as the imported package:
+Run it with the checkout's ``src`` on ``PYTHONPATH``, as a relative or an
+absolute path; the demos are taken from the same checkout as the imported
+package and run with its ``src`` on ``PYTHONPATH`` as an absolute path:
 
     PYTHONPATH=src python tools/output_snapshot.py OUTDIR
 
@@ -70,9 +71,10 @@ def snapshot(outdir: Path) -> None:
         Path(f"{name}.gen.txt").write_text(_run(gen), encoding="utf-8")
         for label, argv in _commands(kind, name).items():
             Path(f"{name}.{label}.txt").write_text(_run(argv), encoding="utf-8")
-    demos = Path(gresolv.__file__).resolve().parents[2] / "demos"
-    for demo in sorted(demos.glob("*.py")):
-        done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
+    src = Path(gresolv.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
         Path(f"demo-{demo.stem}.txt").write_text(
             f"exit: {done.returncode}\n--- stdout\n{done.stdout}--- stderr\n{done.stderr}",
             encoding="utf-8")

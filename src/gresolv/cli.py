@@ -21,7 +21,7 @@ from . import numkernel as nk
 from .errors import GresolvError, NotRegularType, PreconditionViolated
 from .extensions import (block_param_from_map, build_admissible_isometry,
                          exit_frames, ExitSpaceModel, PartialMap,
-                         exit_space_extension, unitary_exit_extension)
+                         _exit_space_extension, unitary_exit_extension)
 from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 from .operators import IsometryOp, SymmetricOp, cayley_transform, parameter_frames
 from .resolvents import (ContractionParam, ResolventModel,
@@ -129,10 +129,11 @@ class InstanceFile:
         op = self.operator
         if self.kind == "isometric":
             return unitary_exit_extension(op, self.exit_dim, w_block=self.exit_block, tol=tol)
-        frames = exit_frames(op, SymmetricOp.null(self.exit_dim), self.anchor, tol)
+        exit_op = SymmetricOp.null(self.exit_dim)
+        frames = exit_frames(op, exit_op, self.anchor, tol)
         tmap = PartialMap.from_coords(frames.src, frames.dst, self.exit_block)
         block = block_param_from_map(tmap, frames, isometry=True)
-        return exit_space_extension(op, self.exit_dim, self.anchor, block, tol=tol)
+        return _exit_space_extension(op, exit_op, self.anchor, block, frames, tol)
 
     def parameter_anchor(self) -> complex:
         """Anchor of the parameter block: z0 in the disk (0 when not given) on

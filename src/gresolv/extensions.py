@@ -44,7 +44,7 @@ class PartialMap:
         return nk.op_norm(self.matrix)
 
     def is_isometric(self, gate: float = nk.STRUCT_GATE) -> bool:
-        return nk.isometry_defect(self.matrix) <= gate
+        return nk.is_isometric(self.matrix, gate)
 
     @classmethod
     def empty(cls, n: int) -> "PartialMap":
@@ -74,8 +74,8 @@ class BlockParam:
 
     def __post_init__(self):
         t = self.assembled()
-        nk.check_contraction(nk.op_norm(t), "assembled block norm")
-        if self.isometry and nk.isometry_defect(t) > nk.STRUCT_GATE:
+        nk.check_contraction(t, "assembled block norm")
+        if self.isometry and not nk.is_isometric(t, nk.STRUCT_GATE):
             raise ValueError("assembled block is not isometric")
 
     def assembled(self) -> CMatrix:
@@ -165,7 +165,7 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
             raise NumericalFailure("projection of the domain complement lost rank")
         lift, *_ = np.linalg.lstsq(shadow, src.basis, rcond=None)
         matrix = p_dst @ ortho.basis @ lift
-        if nk.isometry_defect(matrix) > nk.BUILT_GATE:
+        if not nk.is_isometric(matrix, nk.BUILT_GATE):
             raise NumericalFailure("forbidden operator failed its isometry check")
         return PartialMap(src, matrix)
     return _memoized(a, "forbidden", z, tol, build)
@@ -238,7 +238,7 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
         off_dst = nk.op_norm((np.eye(n) - nk.projector(pair_zbar.n_space)) @ t.matrix)
         if max(off_src, off_dst) > nk.STRUCT_GATE:
             raise ValueError("parameter does not map between the defect subspaces")
-    nk.check_contraction(t.norm(), "parameter norm")
+    nk.check_contraction(t.matrix, "parameter norm")
     if not is_admissible(a, z, t, tol):
         raise NotAdmissible("parameter")
     isometric = t.is_isometric()
@@ -466,7 +466,13 @@ def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: Block
         exit_op = SymmetricOp.null(exit_dim)
     if exit_op.ambient_dim != exit_dim:
         raise ValueError("exit operator dimension mismatch")
-    frames = exit_frames(a, exit_op, z, tol)
+    return _exit_space_extension(a, exit_op, z, block, exit_frames(a, exit_op, z, tol), tol)
+
+
+def _exit_space_extension(a: SymmetricOp, exit_op: SymmetricOp, z: complex, block: BlockParam,
+                          frames: ExitFrames, tol: TolPolicy) -> ExitSpaceModel:
+    """``exit_space_extension`` on the frames ``exit_frames(a, exit_op, z, tol)``
+    that the caller already holds."""
     if not nk.is_unitary(block.assembled(), nk.STRUCT_GATE):
         raise ValueError("self-adjoint models need a unitary block between full defect spaces")
     tmap = assemble_block_map(frames, block)

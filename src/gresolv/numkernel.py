@@ -7,6 +7,7 @@ through a single ``TolPolicy`` so that downstream verdicts are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,25 +48,64 @@ def op_norm(m: CMatrix) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+#: relative margin by which a Frobenius bound must clear a gate to decide it;
+#: it covers the rounding of both norms for matrices of up to ~4,000 entries
+_FRO_MARGIN = 1e-12
+
+
+def _fro(m: CMatrix) -> float:
+    """Frobenius norm; inf or nan when an entry is not finite."""
+    return math.sqrt(np.vdot(m, m).real)
+
+
+def _norm_within(m: CMatrix, bound: float) -> bool:
+    """``op_norm(m) <= bound``, decided without the SVD when the Frobenius norm
+    settles it: ||M||_F / sqrt(min(rows, columns)) <= ||M|| <= ||M||_F."""
+    fro = _fro(m)
+    if fro <= (1.0 - _FRO_MARGIN) * bound:
+        return True
+    if fro / math.sqrt(max(1, min(m.shape))) > (1.0 + _FRO_MARGIN) * bound:
+        return False
+    return op_norm(m) <= bound
+
+
+def _gram_defect(m: CMatrix) -> CMatrix:
+    return m.conj().T @ m - np.eye(m.shape[1])
+
+
 def isometry_defect(m: CMatrix) -> float:
     """Norm of M* M - E: 0 for a matrix with orthonormal columns (or none)."""
-    return op_norm(m.conj().T @ m - np.eye(m.shape[1]))
+    return op_norm(_gram_defect(m))
+
+
+def is_isometric(m: CMatrix, gate: float) -> bool:
+    """Whether the isometry defect of M is within ``gate``."""
+    return _norm_within(_gram_defect(m), gate)
 
 
 def is_unitary(m: CMatrix, gate: float) -> bool:
     """Whether M is square with isometry defect within ``gate``."""
-    return m.shape[0] == m.shape[1] and isometry_defect(m) <= gate
+    return m.shape[0] == m.shape[1] and is_isometric(m, gate)
 
 
 def is_hermitian(m: CMatrix, gate: float) -> bool:
-    """Whether M - M* is within ``gate`` relative to max(1, ||M||)."""
-    return op_norm(m - m.conj().T) <= gate * max(1.0, op_norm(m))
+    """Whether M - M* is within ``gate`` relative to max(1, ||M||).
+
+    A Frobenius norm of M - M* within the gate relative to the lower bound
+    ||M||_F / sqrt(min(rows, columns)) of ||M|| passes without an SVD."""
+    skew = m - m.conj().T
+    low = _fro(m) / math.sqrt(max(1, min(m.shape)))
+    if _fro(skew) <= (1.0 - _FRO_MARGIN) * gate * max(1.0, low):
+        return True
+    return op_norm(skew) <= gate * max(1.0, op_norm(m))
 
 
-def check_contraction(norm: float, what: str) -> None:
-    """Raise ``NotContraction`` when a norm exceeds 1 beyond ``CONTRACTION_SLACK``."""
-    if norm > 1.0 + CONTRACTION_SLACK:
-        raise NotContraction(f"{what} {norm:.6f} exceeds 1")
+def check_contraction(m, what: str) -> None:
+    """Raise ``NotContraction`` when the norm of ``m``, a matrix or a norm
+    already computed, exceeds 1 beyond ``CONTRACTION_SLACK``."""
+    m = np.atleast_2d(m)
+    if not _norm_within(m, 1.0 + CONTRACTION_SLACK):
+        raise NotContraction(f"{what} {op_norm(m):.6f} exceeds 1")
 
 
 @dataclass(frozen=True)
@@ -102,7 +142,7 @@ class Subspace:
     basis: CMatrix
 
     def __post_init__(self):
-        if isometry_defect(self.basis) > STRUCT_GATE:
+        if not is_isometric(self.basis, STRUCT_GATE):
             raise ValueError("frame columns are not orthonormal")
 
     @property
@@ -225,7 +265,49 @@ def solve(m: CMatrix, b: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     return np.linalg.solve(m, b)
 
 
+def _certified_inverse(m: CMatrix, tol: TolPolicy) -> CMatrix | None:
+    """``np.linalg.inv(m)`` when it certifies that ``solve`` accepts the square
+    M; None when it does not, or when M has a non-finite Frobenius norm.
+
+    With X the inverse and rho >= ||M X - E||_F, M^-1 = X (E + (M X - E))^-1
+    gives sigma_min(M) >= (1 - rho) / ||X||_F.  ``solve`` rejects M when its
+    smallest singular value is at most ``tol.threshold(sigma_max, n)``, and
+    sigma_max <= ||M||_F.  ``rounding`` pads every quantity generously for
+    the rounding of the norms, of the product M X and of the SVD.
+    """
+    n, norm = m.shape[0], _fro(m)
+    if not norm < np.inf:
+        return None
+    try:
+        x = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return None
+    rounding = 8.0 * (n + 2) ** 2 * _EPS
+    need = tol.threshold(norm * (1.0 + rounding), n) + rounding * norm
+    x_norm = _fro(x) * (1.0 + rounding)
+    # also rejects a non-finite X, and keeps the entries of M X far from overflow
+    if not x_norm * need < 1.0:
+        return None
+    r = m @ x
+    r.flat[:: n + 1] -= 1.0
+    rho = _fro(r) * (1.0 + rounding) + rounding * norm * x_norm
+    return x if (1.0 - rho) / x_norm > need else None
+
+
 def inv(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+    """Inverse of a square M: ``solve(m, E, tol)``, with its verdicts and bits.
+
+    The inverse comes first and certifies itself (``_certified_inverse``);
+    ``np.linalg.inv`` returns the bits of ``np.linalg.solve(m, E)``, so a
+    certified inverse is returned without the SVD of ``solve``.  Every other
+    matrix takes the ``solve`` route, its ``Singular`` value and its
+    ``ValueError``s included.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim == 2 and m.shape[0] == m.shape[1] > 0:
+        x = _certified_inverse(m, tol)
+        if x is not None:
+            return x
     return solve(m, np.eye(m.shape[0], dtype=np.complex128), tol)
 
 

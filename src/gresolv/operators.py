@@ -82,7 +82,7 @@ class IsometryOp(PartialOperator):
 
     def __post_init__(self):
         super().__post_init__()
-        if nk.isometry_defect(self.action) > nk.STRUCT_GATE:
+        if not nk.is_isometric(self.action, nk.STRUCT_GATE):
             raise ValueError("image frame is not orthonormal; not an isometry")
 
     @property
@@ -275,11 +275,11 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
     src, dst = (pair.n_space for pair in parameter_frames(v, z0, tol))
     if c.shape != (dst.dim, src.dim):
         raise ValueError(f"parameter shape {c.shape} does not match defects ({dst.dim}, {src.dim})")
-    nk.check_contraction(nk.op_norm(c), "parameter norm")
+    nk.check_contraction(c, "parameter norm")
     vz = v if z0 == 0 else moebius_transform(v, z0, tol)
     plus = _direct_sum(vz, c, src, dst)
     if z0 == 0:
-        nk.check_contraction(nk.op_norm(plus), "extension norm")
+        nk.check_contraction(plus, "extension norm")
         return plus
     eye = np.eye(n)
     inv_plus = nk.inv(eye + z0 * plus, tol)
@@ -287,9 +287,10 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
     # pull-back identities tying the direct sum to the extension
     res1 = nk.op_norm(v_c - (eye / z0 + (abs(z0) ** 2 - 1) / z0 * inv_plus))
     res2 = nk.op_norm(plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c, tol)))
-    if max(res1, res2) > 1e-10 * max(1.0, nk.op_norm(v_c)):
+    norm = nk.op_norm(v_c)
+    if max(res1, res2) > 1e-10 * max(1.0, norm):
         raise NumericalFailure(f"extension identities violated (residual {max(res1, res2):.3e})")
-    nk.check_contraction(nk.op_norm(v_c), "extension norm")
+    nk.check_contraction(norm, "extension norm")
     return v_c
 
 

@@ -66,7 +66,7 @@ class ContractionParam:
     @classmethod
     def constant(cls, src: Subspace, dst: Subspace, k, anchor: complex | None = None):
         k = nk.as_cmatrix(k)
-        nk.check_contraction(nk.op_norm(k), "constant parameter norm")
+        nk.check_contraction(k, "constant parameter norm")
         return cls(src, dst, ("constant", k), anchor)
 
     @classmethod
@@ -96,7 +96,7 @@ class ContractionParam:
         value = nk.as_cmatrix(self.form[1](point))
         if value.shape != (self.dst.dim, self.src.dim):
             raise ValueError(f"callback returned shape {value.shape}")
-        nk.check_contraction(nk.op_norm(value), "callback value norm")
+        nk.check_contraction(value, "callback value norm")
         return value
 
     def in_frames(self, src: Subspace, dst: Subspace) -> "ContractionParam":
@@ -175,6 +175,14 @@ def _solve_at(point: complex, m: CMatrix, b: CMatrix, tol: TolPolicy) -> CMatrix
         raise SingularSystem(point, exc.smallest_sv) from exc
 
 
+def _inv_at(point: complex, m: CMatrix, tol: TolPolicy) -> CMatrix:
+    """``nk.inv`` for a matrix set up at a point, with the errors of ``_solve_at``."""
+    try:
+        return nk.inv(m, tol)
+    except Singular as exc:
+        raise SingularSystem(point, exc.smallest_sv) from exc
+
+
 def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool, tol: TolPolicy,
                     matrix_at: Callable[[complex], CMatrix]) -> CMatrix:
     """Resolvent value [E - zeta T(zeta)]^{-1} of a disk family of operators.
@@ -191,7 +199,7 @@ def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool, tol: TolPolicy,
     if abs(zeta) > 1.0:
         inner = _disk_resolvent(n, 1.0 / np.conj(zeta), boundary_ok, tol, matrix_at)
         return np.eye(n) - inner.conj().T
-    return _solve_at(zeta, np.eye(n) - zeta * matrix_at(zeta), np.eye(n), tol)
+    return _inv_at(zeta, np.eye(n) - zeta * matrix_at(zeta), tol)
 
 
 def direct_sum_resolvent(v: IsometryOp, param: ContractionParam, zeta: complex,
@@ -230,8 +238,9 @@ def dilation_resolvent(model: ExitSpaceModel, point: complex,
     eye = np.eye(total, dtype=np.complex128)
     system = eye - point * model.big_op if model.kind == "unitary" \
         else model.big_op - point * eye
-    # only the first n columns of the inverse; the copy owns no larger buffer
-    return _solve_at(point, system, eye[:, :n], tol)[:n].copy()
+    # the first n columns of the inverse are bitwise those of solving for the
+    # first n columns of E; the copy owns no larger buffer
+    return _inv_at(point, system, tol)[:n, :n].copy()
 
 
 def recover_parameter(r: ResolventModel, zeta: complex,
@@ -274,7 +283,7 @@ def recover_anchored_parameter(r: ResolventModel, z0: complex, zeta: complex,
         raise PointExcluded("recovery needs an interior point distinct from 0")
     n = r.ambient_dim
     src, dst = (pair.n_space for pair in parameter_frames(r.operator, z0, tol))
-    t_full = (np.eye(n) - _solve_at(zeta, r(zeta), np.eye(n), tol)) / zeta
+    t_full = (np.eye(n) - _inv_at(zeta, r(zeta), tol)) / zeta
     if z0 == 0:
         plus = t_full
     else:
@@ -425,7 +434,7 @@ def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex
     ext, _ = neumann_extension(a, z, tmap, tol, validate=validate)
     if not ext.is_everywhere_defined:
         raise NumericalFailure("full-defect parameter produced a partial extension")
-    return _solve_at(lam, ext.full_matrix() - lam * np.eye(n), np.eye(n), tol)
+    return _inv_at(lam, ext.full_matrix() - lam * np.eye(n), tol)
 
 
 def generating_extension(r: ResolventModel, lam: complex,
@@ -433,7 +442,7 @@ def generating_extension(r: ResolventModel, lam: complex,
     """The extension family value R(lam)^{-1} + lam E as an operator record."""
     lam = complex(lam)
     n = r.ambient_dim
-    mat = _solve_at(lam, r(lam), np.eye(n), tol) + lam * np.eye(n)
+    mat = _inv_at(lam, r(lam), tol) + lam * np.eye(n)
     return PartialOperator(Subspace.full(n), mat)
 
 
@@ -505,9 +514,9 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
     raw_img = np.hstack([a.action, np.conj(z) * nz.basis])
     if raw_dom.shape[1] != n:
         raise NumericalFailure("domain and defect do not span the space")
-    a_ext = raw_img @ nk.solve(raw_dom, np.eye(n), tol)
+    a_ext = raw_img @ nk.inv(raw_dom, tol)
     eye = np.eye(n)
-    resolv = _solve_at(lam, a_ext - lam * eye, eye, tol)
+    resolv = _inv_at(lam, a_ext - lam * eye, tol)
     skew = ((lam - np.conj(z)) / (z - np.conj(z))) * (nk.projector(nz) @ (a_ext - z * eye) @ resolv)
     factor = (lam - z) / (lam - np.conj(z))
     coords = factor * (nz.basis.conj().T @ skew @ nzbar.basis)

@@ -1,0 +1,211 @@
+"""Certificate-first kernel: ``nk.inv`` and the Frobenius-first gates give the
+verdicts, exception values and bits of the SVD forms they stand in for.
+
+``nk.inv`` is checked against ``nk.solve(m, E)`` with the smallest singular
+value swept through [tau/10, 10 tau] around the singularity threshold tau,
+under four tolerance policies.  Each gate is checked against its spectral
+norm form on matrices placed just inside and just outside the gate.  A spy
+on one ``verify --suite all`` run pins how often the SVD fallbacks still run.
+"""
+
+import contextlib
+import io
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gresolv.numkernel as nk
+from gresolv import cli
+from gresolv.errors import NotContraction, Singular
+
+POLICIES = {
+    "default": nk.DEFAULT_TOL,
+    "abs_floor=1e-9": nk.TolPolicy(abs_floor=1e-9),
+    "no floor": nk.TolPolicy(abs_floor=0.0, rank_rel=0.0),
+    # a relative threshold within reach of the certificate
+    "rank_rel=1e-8": nk.TolPolicy(abs_floor=0.0, rank_rel=1e-8),
+}
+
+
+def _outcome(fn, *args):
+    """The result of ``fn(*args)`` as bytes, or the type and value of what it raised."""
+    try:
+        value = fn(*args)
+    except Singular as exc:
+        return "Singular", exc.smallest_sv
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, str(exc)
+    return value.shape, value.tobytes()
+
+
+def _svd_route(m, tol):
+    return nk.solve(m, np.eye(m.shape[0], dtype=np.complex128), tol)
+
+
+def _with_singular_values(s, rng):
+    n = s.size
+    return nk.haar_unitary(n, rng) @ np.diag(s).astype(complex) @ nk.haar_unitary(n, rng)
+
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), log_ratio=st.floats(-1.0, 1.0),
+       log_scale=st.sampled_from([-3.0, 0.0, 3.0, 8.0]))
+def test_inv_matches_the_svd_route_around_the_threshold(policy, n, seed, log_ratio, log_scale):
+    tol = POLICIES[policy]
+    rng = np.random.default_rng(seed)
+    sigma_max = 10.0 ** log_scale
+    tau = tol.threshold(sigma_max, n)
+    if tau == 0.0:
+        # no threshold: sweep around the certificate's own limit instead
+        tau = 1e-13 * sigma_max
+    sigma_min = min(sigma_max, tau * 10.0 ** log_ratio)
+    s = np.sort(np.exp(rng.uniform(np.log(sigma_min), np.log(sigma_max), n)))[::-1]
+    s[0], s[-1] = sigma_max, sigma_min
+    m = _with_singular_values(s, rng)
+    assert _outcome(nk.inv, m, tol) == _outcome(_svd_route, m, tol)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_inv_matches_the_svd_route_on_degenerate_input(policy):
+    tol = POLICIES[policy]
+    rng = np.random.default_rng(7)
+    cases = [np.zeros((3, 3), dtype=complex), np.diag([1.0, 0.0, 2.0]).astype(complex),
+             np.ones((4, 4), dtype=complex), np.zeros((0, 0), dtype=complex),
+             1e-200 * _random_complex(rng, (3, 3)), 1e160 * _random_complex(rng, (3, 3)),
+             _random_complex(rng, (2, 3))]
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        m = _random_complex(rng, (3, 3))
+        m[1, 2] = bad
+        cases.append(m)
+    for m in cases:
+        assert _outcome(nk.inv, m, tol) == _outcome(_svd_route, m, tol)
+    with pytest.raises(ValueError, match="finite"):
+        nk.inv(cases[-1], tol)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_leading_columns_of_the_inverse_are_a_partial_solve(n):
+    """``dilation_resolvent`` takes the first columns of ``nk.inv`` for the
+    output of ``solve(M, E[:, :k])``; a BLAS that breaks this must fail here
+    rather than move output bytes."""
+    rng = np.random.default_rng(n)
+    m = np.eye(n) + 0.5 * _random_complex(rng, (n, n)) / np.sqrt(n)
+    x = nk.inv(m)
+    assert x.tobytes() == np.linalg.solve(m, np.eye(n, dtype=complex)).tobytes()
+    for k in range(1, n + 1):
+        part = np.linalg.solve(m, np.eye(n, dtype=complex)[:, :k])
+        assert x[:, :k].copy().tobytes() == part.tobytes()
+
+
+def _near(rng, k, level, shift, spread):
+    """k values: one at ``level * (1 + shift)``, the rest ``level`` times
+    ``spread`` times a uniform draw; ``spread`` near 1 defeats the Frobenius test."""
+    values = level * spread * rng.uniform(0.0, 1.0, k)
+    values[rng.integers(k)] = level * (1.0 + shift)
+    return values
+
+
+SHIFTS = st.one_of(st.floats(-1e-2, 1e-2), st.floats(-1e-10, 1e-10))
+SPREADS = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-3])
+
+
+def _gate_cases(draw_shape):
+    return given(shape=draw_shape, seed=st.integers(0, 2**32 - 1), shift=SHIFTS, spread=SPREADS)
+
+
+@settings(max_examples=150, deadline=None)
+@_gate_cases(st.tuples(st.integers(1, 10), st.integers(0, 10)))
+def test_isometry_gate_matches_its_spectral_form(shape, seed, shift, spread):
+    n, k = shape[0], min(shape)
+    rng = np.random.default_rng(seed)
+    for gate in (nk.STRUCT_GATE, nk.BUILT_GATE):
+        if k == 0:
+            m = np.zeros((n, 0), dtype=complex)
+        else:
+            # M* M - E has eigenvalues d: a defect of about the gate
+            d = _near(rng, k, gate, shift, spread) * rng.choice([-1.0, 1.0], k)
+            m = nk.haar_frame(n, k, rng) @ np.diag(np.sqrt(1.0 + d)) @ nk.haar_unitary(k, rng)
+        within = nk.isometry_defect(m) <= gate
+        assert nk.is_isometric(m, gate) == within
+        assert nk.is_unitary(m, gate) == (m.shape[0] == m.shape[1] and within)
+        if gate == nk.STRUCT_GATE:
+            try:
+                nk.Subspace(m)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == within
+
+
+@settings(max_examples=150, deadline=None)
+@_gate_cases(st.tuples(st.integers(1, 10), st.sampled_from([1e-3, 1.0, 1e4])))
+def test_hermitian_gate_matches_its_spectral_form(shape, seed, shift, spread):
+    n, scale = shape
+    rng = np.random.default_rng(seed)
+    h = _random_complex(rng, (n, n))
+    h = scale * (h + h.conj().T) / nk.op_norm(h + h.conj().T)
+    gate = nk.STRUCT_GATE
+    # skew part with singular values about the gate relative to max(1, ||h||)
+    skew_sv = _near(rng, n, gate * max(1.0, scale) / 2.0, shift, spread)
+    k = _with_singular_values(skew_sv, rng)
+    m = h + (k - k.conj().T) / 2.0
+    expected = nk.op_norm(m - m.conj().T) <= gate * max(1.0, nk.op_norm(m))
+    assert nk.is_hermitian(m, gate) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@_gate_cases(st.tuples(st.integers(1, 10), st.integers(1, 10)))
+def test_contraction_gate_matches_its_spectral_form(shape, seed, shift, spread):
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    s = _near(rng, k, 1.0 + nk.CONTRACTION_SLACK, shift, spread)
+    m = nk.haar_frame(rows, k, rng) @ np.diag(s) @ nk.haar_frame(cols, k, rng).conj().T
+    norm = nk.op_norm(m)
+    expected = f"parameter norm {norm:.6f} exceeds 1" if norm > 1.0 + nk.CONTRACTION_SLACK else None
+    try:
+        nk.check_contraction(m, "parameter norm")
+        raised = None
+    except NotContraction as exc:
+        raised = str(exc)
+    assert raised == expected
+
+
+#: upper bounds on the SVD fallbacks of one ``verify --suite all`` run of the
+#: file below; with a per-call SVD the counts are about 1,100 and 2,000
+INV_FALLBACK_BOUND = 10
+GATE_OP_NORM_BOUND = 150
+
+
+def test_verify_run_takes_few_svd_fallbacks(tmp_path, monkeypatch):
+    path = tmp_path / "sym16.json"
+    cli.save_instance(cli.generate_instance("symmetric", 16, 8, 2, seed=16), path)
+    counts = {"inv": 0, "solve": 0, "gate": 0, "op_norm": 0}
+    gates = {fn.__code__ for fn in (nk._norm_within, nk.is_hermitian, nk.check_contraction)}
+
+    def solve(*args, _real=nk.solve):
+        counts["solve"] += 1
+        counts["inv"] += sys._getframe(1).f_code is nk.inv.__code__
+        return _real(*args)
+
+    def op_norm(m, _real=nk.op_norm):
+        counts["op_norm"] += 1
+        counts["gate"] += sys._getframe(1).f_code in gates
+        return _real(m)
+
+    monkeypatch.setattr(nk, "solve", solve)
+    monkeypatch.setattr(nk, "op_norm", op_norm)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", str(path), "--suite", "all"]) == 0
+    # the spies saw the run: the other solves and the printed residuals remain
+    assert counts["solve"] > 0 and counts["op_norm"] > counts["gate"]
+    assert counts["inv"] <= INV_FALLBACK_BOUND, counts
+    assert counts["gate"] <= GATE_OP_NORM_BOUND, counts

@@ -283,7 +283,7 @@ def test_verify_builds_one_model_per_run(tmp_path, monkeypatch):
         paths.append(tmp_path / f"{kind}.json")
         cli.save_instance(cli.generate_instance(kind, 4, 2, 2, seed=8), paths[-1])
     builds, reported = [], []
-    for name in ("exit_space_extension", "unitary_exit_extension"):
+    for name in ("_exit_space_extension", "unitary_exit_extension"):
         def spy(*args, _real=getattr(cli, name), **kwargs):
             builds.append(args[0])
             return _real(*args, **kwargs)

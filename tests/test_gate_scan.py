@@ -2,7 +2,7 @@
 
 Any other module under ``src/gresolv/`` that spells out a Gram-minus-identity
 test or the contraction slack by hand fails here; it should call
-``isometry_defect``/``is_unitary`` or ``check_contraction`` instead."""
+``is_isometric``/``is_unitary`` or ``check_contraction`` instead."""
 
 import re
 from pathlib import Path

@@ -26,7 +26,7 @@ from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
 from .operators import IsometryOp, SymmetricOp, cayley_transform, parameter_frames
 from .resolvents import (ContractionParam, ResolventModel,
                          DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES,
-                         cayley_transfer, direct_sum_resolvent, defect_block_family,
+                         _transfer_at, direct_sum_resolvent, defect_block_family,
                          boundary_parameter, recovered_parameter_family,
                          extension_resolvent, verify_resolvent_axioms)
 from .spectral import (ArcSpec, gap_report, in_space_atoms, spectral_measure,
@@ -369,14 +369,15 @@ def _suite_axioms(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
     z = inst.anchor
     u = cayley_transform(op, z, tol)
 
-    def transferred_eval(point, boundary_ok=False):
+    def transferred_at(points):
         # the transfer leaves the points 0 and 1 to continuity; 0 maps to the
         # anchor, where every generalized resolvent equals the identity
-        if point == 0:
-            return np.eye(op.ambient_dim, dtype=np.complex128)
-        return cayley_transfer(r, z, point)
+        values = iter(_transfer_at(r, z, [p for p in points if p != 0]))
+        return [np.eye(op.ambient_dim, dtype=np.complex128) if p == 0 else next(values)
+                for p in points]
 
-    transferred = ResolventModel(u, transferred_eval)
+    transferred = ResolventModel(u, lambda point, boundary_ok=False: transferred_at([point])[0],
+                                 transferred_at)
     axioms = verify_resolvent_axioms(transferred, u)
     for check in axioms.checks:
         report.add(f"axiom-{check.name}", check.passed, check.residual,
@@ -393,14 +394,14 @@ def _suite_oracle(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
     worst = 0.0
     if inst.kind == "isometric":
         family = recovered_parameter_family(r, tol)
-        for zeta in DEFAULT_DISK_SAMPLES:
-            worst = max(worst, nk.op_norm(direct_sum_resolvent(op, family, zeta, tol) - r(zeta)))
+        for zeta, oracle in zip(DEFAULT_DISK_SAMPLES, r.at(DEFAULT_DISK_SAMPLES)):
+            worst = max(worst, nk.op_norm(direct_sum_resolvent(op, family, zeta, tol) - oracle))
         report.add("direct-sum-formula-vs-dilation", worst <= 1e-9, worst, "oracle-equivalence")
         return
     family = defect_block_family(r, op, inst.anchor, tol)
-    for lam in DEFAULT_HALFPLANE_SAMPLES:
+    for lam, oracle in zip(DEFAULT_HALFPLANE_SAMPLES, r.at(DEFAULT_HALFPLANE_SAMPLES)):
         worst = max(worst, nk.op_norm(
-            extension_resolvent(op, family, inst.anchor, lam, tol, validate=False) - r(lam)))
+            extension_resolvent(op, family, inst.anchor, lam, tol, validate=False) - oracle))
     report.add("extension-formula-vs-dilation", worst <= 1e-9, worst, "oracle-equivalence")
     atoms = spectral_measure(model, tol)
     res = verify_integral_representation(atoms, r, DEFAULT_HALFPLANE_SAMPLES)

@@ -234,9 +234,9 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
     n = a.ambient_dim
     pair_z, pair_zbar = parameter_frames(a, z, tol)
     if t.dim:
-        off_src = nk.op_norm((np.eye(n) - nk.projector(pair_z.n_space)) @ t.src.basis)
-        off_dst = nk.op_norm((np.eye(n) - nk.projector(pair_zbar.n_space)) @ t.matrix)
-        if max(off_src, off_dst) > nk.STRUCT_GATE:
+        off_src = (np.eye(n) - nk.projector(pair_z.n_space)) @ t.src.basis
+        off_dst = (np.eye(n) - nk.projector(pair_zbar.n_space)) @ t.matrix
+        if not all(nk._norm_within(off, nk.STRUCT_GATE) for off in (off_src, off_dst)):
             raise ValueError("parameter does not map between the defect subspaces")
     nk.check_contraction(t.matrix, "parameter norm")
     if not is_admissible(a, z, t, tol):

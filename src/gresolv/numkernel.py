@@ -58,15 +58,24 @@ def _fro(m: CMatrix) -> float:
     return math.sqrt(np.vdot(m, m).real)
 
 
-def _norm_within(m: CMatrix, bound: float) -> bool:
-    """``op_norm(m) <= bound``, decided without the SVD when the Frobenius norm
-    settles it: ||M||_F / sqrt(min(rows, columns)) <= ||M|| <= ||M||_F."""
+def _fro_bounds(m: CMatrix) -> tuple[float, float]:
+    """Lower and upper bound of ``op_norm(m)``:
+    ||M||_F / sqrt(min(rows, columns)) <= ||M|| <= ||M||_F."""
     fro = _fro(m)
-    if fro <= (1.0 - _FRO_MARGIN) * bound:
+    return fro / math.sqrt(max(1, min(m.shape))), fro
+
+
+def _norm_within(m: CMatrix, bound: float, scale: CMatrix | None = None) -> bool:
+    """``op_norm(m) <= bound``, or ``op_norm(m) <= bound * max(1, op_norm(scale))``
+    when a ``scale`` matrix is given, decided without an SVD whenever the
+    Frobenius bounds of both norms settle it."""
+    low, high = _fro_bounds(m)
+    s_low, s_high = _fro_bounds(scale) if scale is not None else (0.0, 0.0)
+    if high <= (1.0 - _FRO_MARGIN) * bound * max(1.0, s_low):
         return True
-    if fro / math.sqrt(max(1, min(m.shape))) > (1.0 + _FRO_MARGIN) * bound:
+    if low > (1.0 + _FRO_MARGIN) * bound * max(1.0, s_high):
         return False
-    return op_norm(m) <= bound
+    return op_norm(m) <= bound * (1.0 if scale is None else max(1.0, op_norm(scale)))
 
 
 def _gram_defect(m: CMatrix) -> CMatrix:
@@ -89,15 +98,8 @@ def is_unitary(m: CMatrix, gate: float) -> bool:
 
 
 def is_hermitian(m: CMatrix, gate: float) -> bool:
-    """Whether M - M* is within ``gate`` relative to max(1, ||M||).
-
-    A Frobenius norm of M - M* within the gate relative to the lower bound
-    ||M||_F / sqrt(min(rows, columns)) of ||M|| passes without an SVD."""
-    skew = m - m.conj().T
-    low = _fro(m) / math.sqrt(max(1, min(m.shape)))
-    if _fro(skew) <= (1.0 - _FRO_MARGIN) * gate * max(1.0, low):
-        return True
-    return op_norm(skew) <= gate * max(1.0, op_norm(m))
+    """Whether M - M* is within ``gate`` relative to max(1, ||M||)."""
+    return _norm_within(m - m.conj().T, gate, m)
 
 
 def check_contraction(m, what: str) -> None:
@@ -162,11 +164,20 @@ class Subspace:
         return cls(np.eye(n, dtype=np.complex128))
 
 
+def _svd_frame(u: CMatrix) -> Subspace:
+    """The frame of singular vectors ``u``, phase-fixed, without the Gram check
+    of ``Subspace``: an SVD's columns are orthonormal to rounding."""
+    frame = object.__new__(Subspace)
+    object.__setattr__(frame, "basis", _fix_phases(u))
+    return frame
+
+
 def _fix_phases(q: CMatrix) -> CMatrix:
     """Rotate each column so its largest-modulus entry is real positive.
 
     Deterministic representative of the frame; does not change the span.
     """
+    # a vectorized rotation is not bitwise this scalar loop, which every frame passes
     q = q.copy()
     for j in range(q.shape[1]):
         i = int(np.argmax(np.abs(q[:, j])))
@@ -186,7 +197,7 @@ def orthonormalize(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> Subspace:
     if s.size == 0 or s[0] == 0.0:
         return Subspace.empty(n)
     rank = int(np.sum(s > tol.threshold(s[0], n)))
-    return Subspace(_fix_phases(u[:, :rank]))
+    return _svd_frame(u[:, :rank])
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
@@ -197,7 +208,7 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     if k == n:
         return Subspace.empty(n)
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(_fix_phases(u[:, k:]))
+    return _svd_frame(u[:, k:])
 
 
 def projector(s: Subspace) -> CMatrix:
@@ -224,7 +235,7 @@ def intersect(s1: Subspace, s2: Subspace, tol: TolPolicy = DEFAULT_TOL) -> Subsp
         return s1
     u, s, _ = np.linalg.svd(projector(s1) @ projector(s2))
     keep = s >= 1.0 - 100.0 * tol.abs_floor
-    return Subspace(_fix_phases(u[:, : int(np.sum(keep))]))
+    return _svd_frame(u[:, : int(np.sum(keep))])
 
 
 def injective(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> tuple[bool, float]:
@@ -265,50 +276,99 @@ def solve(m: CMatrix, b: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     return np.linalg.solve(m, b)
 
 
-def _certified_inverse(m: CMatrix, tol: TolPolicy) -> CMatrix | None:
-    """``np.linalg.inv(m)`` when it certifies that ``solve`` accepts the square
-    M; None when it does not, or when M has a non-finite Frobenius norm.
+def _certified(m: CMatrix, x: CMatrix, tol: TolPolicy) -> bool:
+    """Whether X, the ``np.linalg.inv`` of the square M, certifies that
+    ``solve`` accepts M; False when M has a non-finite Frobenius norm.
 
-    With X the inverse and rho >= ||M X - E||_F, M^-1 = X (E + (M X - E))^-1
-    gives sigma_min(M) >= (1 - rho) / ||X||_F.  ``solve`` rejects M when its
+    With rho >= ||M X - E||_F, M^-1 = X (E + (M X - E))^-1 gives
+    sigma_min(M) >= (1 - rho) / ||X||_F.  ``solve`` rejects M when its
     smallest singular value is at most ``tol.threshold(sigma_max, n)``, and
     sigma_max <= ||M||_F.  ``rounding`` pads every quantity generously for
     the rounding of the norms, of the product M X and of the SVD.
     """
     n, norm = m.shape[0], _fro(m)
     if not norm < np.inf:
-        return None
-    try:
-        x = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return None
+        return False
     rounding = 8.0 * (n + 2) ** 2 * _EPS
     need = tol.threshold(norm * (1.0 + rounding), n) + rounding * norm
     x_norm = _fro(x) * (1.0 + rounding)
     # also rejects a non-finite X, and keeps the entries of M X far from overflow
     if not x_norm * need < 1.0:
-        return None
+        return False
     r = m @ x
     r.flat[:: n + 1] -= 1.0
     rho = _fro(r) * (1.0 + rounding) + rounding * norm * x_norm
-    return x if (1.0 - rho) / x_norm > need else None
+    return (1.0 - rho) / x_norm > need
 
 
 def inv(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     """Inverse of a square M: ``solve(m, E, tol)``, with its verdicts and bits.
 
-    The inverse comes first and certifies itself (``_certified_inverse``);
+    The inverse comes first and certifies itself (``_certified``);
     ``np.linalg.inv`` returns the bits of ``np.linalg.solve(m, E)``, so a
     certified inverse is returned without the SVD of ``solve``.  Every other
     matrix takes the ``solve`` route, its ``Singular`` value and its
     ``ValueError``s included.
+
+    A ``(k, N, N)`` stack is inverted by one ``np.linalg.inv`` call, whose
+    members are bitwise those of k single calls, and gives the stack of the k
+    inverses; the uncertified members take the ``solve`` route in order, so
+    the first one that fails raises what a loop over the members would.
     """
     m = np.asarray(m, dtype=np.complex128)
+    if m.ndim == 3:
+        return _inv_stack(m, tol)
     if m.ndim == 2 and m.shape[0] == m.shape[1] > 0:
-        x = _certified_inverse(m, tol)
-        if x is not None:
+        try:
+            x = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            x = None
+        if x is not None and _certified(m, x, tol):
             return x
     return solve(m, np.eye(m.shape[0], dtype=np.complex128), tol)
+
+
+def _inv_stack(m: np.ndarray, tol: TolPolicy) -> np.ndarray:
+    """``inv`` of each member of a ``(k, N, N)`` stack, as one array."""
+    try:
+        x = np.linalg.inv(m) if m.size else None
+    except np.linalg.LinAlgError:
+        # an exactly singular or a non-finite member: every member takes the
+        # single route
+        x = None
+    if x is None:
+        x = np.empty(m.shape, dtype=np.complex128)
+        for i, member in enumerate(m):
+            x[i] = inv(member, tol)
+        return x
+    eye = np.eye(m.shape[1], dtype=np.complex128)
+    for i in np.flatnonzero(~_certified_each(m, x, tol)):
+        x[i] = solve(m[i], eye, tol)
+    return x
+
+
+def _fro_each(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a stack."""
+    v = m.reshape(len(m), -1).view(np.float64)
+    return np.sqrt(np.einsum("ki,ki->k", v, v))
+
+
+def _certified_each(m: np.ndarray, x: np.ndarray, tol: TolPolicy) -> np.ndarray:
+    """``_certified`` of each member of a stack and its inverses, from batched
+    norms and one batched product.  ``_certified`` stays the body for a single
+    matrix, where the fixed cost of the batched calls outweighs the arithmetic."""
+    k, n = m.shape[0], m.shape[-1]
+    rounding = 8.0 * (n + 2) ** 2 * _EPS
+    # a member whose norms or product overflow fails the tests below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _fro_each(m)
+        need = np.array([tol.threshold(s, n) for s in (norm * (1.0 + rounding)).tolist()])
+        need += rounding * norm
+        x_norm = _fro_each(x) * (1.0 + rounding)
+        r = m @ x
+        r.reshape(k, -1)[:, :: n + 1] -= 1.0
+        rho = _fro_each(r) * (1.0 + rounding) + rounding * norm * x_norm
+        return (norm < np.inf) & (x_norm * need < 1.0) & ((1.0 - rho) / x_norm > need)
 
 
 def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:

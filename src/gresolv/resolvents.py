@@ -132,10 +132,15 @@ def _imaginary_ray(anchor: complex) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class ResolventModel:
-    """An evaluable generalized resolvent of an operator."""
+    """An evaluable generalized resolvent of an operator.
+
+    ``_eval`` gives the value at one point; ``_at``, when set, gives the values
+    at a list of points at once, as ``_eval`` would one by one.
+    """
 
     operator: PartialOperator
     _eval: Callable[[complex, bool], CMatrix] = field(repr=False)
+    _at: Callable[[list], list] | None = field(default=None, repr=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -143,6 +148,15 @@ class ResolventModel:
 
     def __call__(self, point: complex, boundary_ok: bool = False) -> CMatrix:
         return self._eval(complex(point), boundary_ok)
+
+    def at(self, points) -> list:
+        """``[self(p) for p in points]``: the values, or the first error, of the
+        loop.  Callers pass one fixed point set per call, which bounds the work
+        a set evaluator does at once; a single point is evaluated by ``_eval``."""
+        points = [complex(p) for p in points]
+        if self._at is None or len(points) < 2:
+            return [self._eval(p, False) for p in points]
+        return self._at(points)
 
     @classmethod
     def from_direct_sum(cls, v: IsometryOp, param: ContractionParam,
@@ -163,7 +177,22 @@ class ResolventModel:
     def from_dilation(cls, model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
         def ev(point, boundary_ok):
             return dilation_resolvent(model, point, tol)
-        return cls(model.embeds, ev)
+
+        def at(points):
+            # one stacked inverse for the set: each member bitwise that of
+            # dilation_resolvent at its point
+            eye = np.eye(model.total_dim, dtype=np.complex128)
+            systems = np.empty((len(points),) + eye.shape, dtype=np.complex128)
+            for member, point in zip(systems, points):
+                member[...] = _dilation_system(model, point, eye)
+            try:
+                inverses = nk.inv(systems, tol)
+            except Singular:
+                # the pointwise loop names the first singular point
+                return [ev(p, False) for p in points]
+            n = model.inner_dim
+            return [x[:n, :n].copy() for x in inverses]
+        return cls(model.embeds, ev, at)
 
 
 def _solve_at(point: complex, m: CMatrix, b: CMatrix, tol: TolPolicy) -> CMatrix:
@@ -234,13 +263,17 @@ def dilation_resolvent(model: ExitSpaceModel, point: complex,
     raise ``SingularSystem`` when the point hits the spectrum.
     """
     point = complex(point)
-    n, total = model.inner_dim, model.total_dim
-    eye = np.eye(total, dtype=np.complex128)
-    system = eye - point * model.big_op if model.kind == "unitary" \
-        else model.big_op - point * eye
+    n = model.inner_dim
     # the first n columns of the inverse are bitwise those of solving for the
     # first n columns of E; the copy owns no larger buffer
+    system = _dilation_system(model, point, np.eye(model.total_dim, dtype=np.complex128))
     return _inv_at(point, system, tol)[:n, :n].copy()
+
+
+def _dilation_system(model: ExitSpaceModel, point: complex, eye: CMatrix) -> CMatrix:
+    """E - point U for a unitary model, H - point E for a Hermitian one."""
+    return eye - point * model.big_op if model.kind == "unitary" \
+        else model.big_op - point * eye
 
 
 def recover_parameter(r: ResolventModel, zeta: complex,
@@ -338,8 +371,9 @@ def verify_resolvent_axioms(r: ResolventModel, v: IsometryOp) -> AxiomReport:
     samples = DEFAULT_DISK_SAMPLES
     interior = [z for z in samples if abs(z) < 1]
     exterior = [z for z in samples if abs(z) > 1]
-    # the checks share the sample points; every other point is used once
-    values = {z: r(z) for z in samples}
+    # the checks share the sample points; every other point is used once.  Each
+    # point set (the samples, a ring, the reflections) is read in one call
+    values = dict(zip(samples, r.at(samples)))
 
     res1 = 0.0
     if v.dom.dim:
@@ -364,14 +398,13 @@ def verify_resolvent_axioms(r: ResolventModel, v: IsometryOp) -> AxiomReport:
         ring = [z + radius * np.exp(2j * np.pi * k / 16) for k in range(16)]
         if any(abs(abs(w) - 1.0) < 1e-12 for w in ring):
             continue
-        mean = sum(r(w) for w in ring) / 16.0
+        mean = sum(r.at(ring)) / 16.0
         res4 = max(res4, nk.op_norm(mean - values[z]))
 
     res5 = 0.0
-    for z in interior:
-        if z == 0:
-            continue
-        res5 = max(res5, nk.op_norm(values[z].conj().T - (eye - r(1.0 / np.conj(z)))))
+    inside = [z for z in interior if z != 0]
+    for z, reflected in zip(inside, r.at([1.0 / np.conj(z) for z in inside])):
+        res5 = max(res5, nk.op_norm(values[z].conj().T - (eye - reflected)))
 
     checks = (
         AxiomCheck("domain-identity", res1 <= gate, res1),
@@ -391,23 +424,33 @@ def cayley_transfer(r_in: ResolventModel, z: complex, point: complex) -> CMatrix
     of the inverse transform at a half-plane point.  Points where the
     fractional map degenerates are rejected.
     """
-    point = complex(point)
-    eye = np.eye(r_in.ambient_dim)
+    return _transfer_at(r_in, z, [complex(point)])[0]
+
+
+def _transfer_at(r_in: ResolventModel, z: complex, points: list) -> list:
+    """``[cayley_transfer(r_in, z, p) for p in points]``, reading ``r_in`` at
+    the mapped points through one ``at`` call."""
     require_nonreal(z)
-    if isinstance(r_in.operator, SymmetricOp):
-        if point == 0 or abs(abs(point) - 1.0) < 1e-14:
-            raise PointExcluded(f"point {point} is degenerate for the transfer")
-        lam = disk_to_halfplane(point, z)
-        factor = (lam - np.conj(z)) / (z - np.conj(z))
-        return factor * eye + factor * (lam - z) * r_in(lam)
-    if not isinstance(r_in.operator, IsometryOp):
+    to_disk = isinstance(r_in.operator, SymmetricOp)
+    if not to_disk and not isinstance(r_in.operator, IsometryOp):
         raise TypeError("the transfer expects a model of a symmetric operator or an isometry")
-    lam = point
-    if lam == z or lam == np.conj(z) or lam.imag == 0:
-        raise PointExcluded(f"point {point} is degenerate for the transfer")
-    zeta = halfplane_to_disk(lam, z)
-    factor = (lam - np.conj(z)) / (z - np.conj(z))
-    return (r_in(zeta) - factor * eye) / (factor * (lam - z))
+    lams = []  # the half-plane side of each point
+    for point in points:
+        if (point == 0 or abs(abs(point) - 1.0) < 1e-14) if to_disk \
+                else (point == z or point == np.conj(z) or point.imag == 0):
+            break
+        lams.append(disk_to_halfplane(point, z) if to_disk else point)
+    # the points before a degenerate one are read first, as a loop would
+    values = r_in.at(lams if to_disk else [halfplane_to_disk(lam, z) for lam in lams])
+    if len(lams) < len(points):
+        raise PointExcluded(f"point {points[len(lams)]} is degenerate for the transfer")
+    eye = np.eye(r_in.ambient_dim)
+    out = []
+    for lam, value in zip(lams, values):
+        factor = (lam - np.conj(z)) / (z - np.conj(z))
+        out.append(factor * eye + factor * (lam - z) * value if to_disk
+                   else (value - factor * eye) / (factor * (lam - z)))
+    return out
 
 
 def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex,
@@ -466,20 +509,23 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
     src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
     image = cayley @ src.basis
     coords = dst.basis.conj().T @ image
-    leak = nk.op_norm(image - dst.basis @ coords)
-    if leak > 1e-8 * max(1.0, nk.op_norm(image)):
-        raise NumericalFailure(f"defect block leaks out of the target space ({leak:.3e})")
+    # the gates decide by Frobenius bounds first; the exact norms are taken
+    # only when the bounds cannot decide, and for the messages
+    leak = image - dst.basis @ coords
+    if not nk._norm_within(leak, 1e-8, image):
+        raise NumericalFailure(
+            f"defect block leaks out of the target space ({nk.op_norm(leak):.3e})")
     # far out on a ray the formation of the core loses |lam| * eps relative
     # accuracy to cancellation, so the contraction gate grows with the point
     gate = max(1e-10, 256.0 * np.finfo(float).eps * abs(lam))
-    if nk.op_norm(coords) > 1.0 + gate:
+    if not nk._norm_within(coords, 1.0 + gate):
         raise NotContraction(f"defect block has norm {nk.op_norm(coords):.6f}")
     if validate:
         tmap = PartialMap.from_coords(src, dst, coords)
         ext, _ = neumann_extension(a, anchor, tmap, tol, validate=False)
-        res = nk.op_norm((ext.full_matrix() - lam * np.eye(n)) @ r_val - np.eye(n))
-        if res > 1e-9 * max(1.0, nk.op_norm(ext.full_matrix() @ r_val)):
-            raise NumericalFailure(f"reassembled extension differs ({res:.3e})")
+        res = (ext.full_matrix() - lam * np.eye(n)) @ r_val - np.eye(n)
+        if not nk._norm_within(res, 1e-9, ext.full_matrix() @ r_val):
+            raise NumericalFailure(f"reassembled extension differs ({nk.op_norm(res):.3e})")
     return coords
 
 

@@ -116,15 +116,15 @@ def verify_integral_representation(atoms: SpectralAtoms, r: ResolventModel,
     the Cauchy kernel 1/(t - lam) analogue.
     """
     worst = 0.0
-    for point in samples:
-        point = complex(point)
+    samples = [complex(point) for point in samples]
+    for point, value in zip(samples, r.at(samples)):
         acc = np.zeros((atoms.dim, atoms.dim), dtype=np.complex128)
         for loc, weight in atoms.atoms:
             if atoms.kind == "circle":
                 acc += weight / (1.0 - point * np.exp(1j * loc))
             else:
                 acc += weight / (loc - point)
-        worst = max(worst, nk.op_norm(acc - r(point)))
+        worst = max(worst, nk.op_norm(acc - value))
     return worst
 
 
@@ -347,6 +347,8 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
 
     records = []
     grid = region.grid(grid_size)
+    # a constant parameter has one value, and so one unitarity defect
+    fixed_defect = _unitarity_defect(param.form[1]) if param.kind == "constant" else None
     for x in grid:
         point = side.point(x)
         bound, pair = side.checked_pair(point)
@@ -356,7 +358,7 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
         value = param(point)
         jump = nk.op_norm(value - param(side.jump_probe(point))) \
             if param.kind == "callback" else 0.0
-        defect = max(nk.isometry_defect(value), nk.isometry_defect(value.conj().T))
+        defect = _unitarity_defect(value) if fixed_defect is None else fixed_defect
         records.append(GapPointRecord(point, bound, covering, side.margin(point, value, pair),
                                       defect, jump))
 
@@ -381,6 +383,11 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
                 f"margin verdict {analytic} vs atoms in region {atoms_inside}")
     return GapReport(region, tuple(records), refined, analytic,
                      param.kind in ("constant", "affine"), atoms, atoms_inside)
+
+
+def _unitarity_defect(value: CMatrix) -> float:
+    """The larger isometry defect of a parameter value and of its adjoint."""
+    return max(nk.isometry_defect(value), nk.isometry_defect(value.conj().T))
 
 
 def _margin(m: CMatrix) -> float:

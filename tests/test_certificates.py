@@ -4,8 +4,10 @@ verdicts, exception values and bits of the SVD forms they stand in for.
 ``nk.inv`` is checked against ``nk.solve(m, E)`` with the smallest singular
 value swept through [tau/10, 10 tau] around the singularity threshold tau,
 under four tolerance policies.  Each gate is checked against its spectral
-norm form on matrices placed just inside and just outside the gate.  A spy
-on one ``verify --suite all`` run pins how often the SVD fallbacks still run.
+norm form on matrices placed just inside and just outside the gate; the gates
+of ``defect_block`` and ``neumann_extension`` also in place, by their verdicts
+and messages.  A spy on one ``verify --suite all`` run pins how often the SVD
+fallbacks still run.
 """
 
 import contextlib
@@ -17,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gresolv as g
 import gresolv.numkernel as nk
 from gresolv import cli
-from gresolv.errors import NotContraction, Singular
+from gresolv.errors import GresolvError, NotContraction, Singular
+from gresolv.operators import parameter_frames
 
 POLICIES = {
     "default": nk.DEFAULT_TOL,
@@ -177,6 +181,122 @@ def test_contraction_gate_matches_its_spectral_form(shape, seed, shift, spread):
     except NotContraction as exc:
         raised = str(exc)
     assert raised == expected
+
+
+def _spectral_within(m, bound, scale=None):
+    """The SVD form of ``nk._norm_within``."""
+    return nk.op_norm(m) <= bound * (1.0 if scale is None else max(1.0, nk.op_norm(scale)))
+
+
+def _with_norm(rng, rows, cols, values):
+    """A rows x cols matrix with the singular values ``values``."""
+    k = len(values)
+    return nk.haar_frame(rows, k, rng) @ np.diag(values) @ nk.haar_frame(cols, k, rng).conj().T
+
+
+#: the gates that decide by Frobenius bounds first outside ``numkernel``:
+#: defect_block's leak (1e-8) and reassembly (1e-9) gates, relative to a norm,
+#: its contraction gate (1 + 1e-10 near the anchor, 1 + 256 eps |lam| far out)
+#: and neumann_extension's off-defect test (STRUCT_GATE)
+OUTER_GATES = (1e-8, 1e-9, 1.0 + 1e-10, 1.0 + 256.0 * nk._EPS * 1e6, nk.STRUCT_GATE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 10), st.integers(1, 10)), seed=st.integers(0, 2**32 - 1),
+       shift=SHIFTS, spread=SPREADS, gate=st.sampled_from(OUTER_GATES),
+       scale_norm=st.sampled_from([None, 0.25, 1.0, 1.0 + 1e-10, 3.0]))
+def test_relative_gate_matches_its_spectral_form(shape, seed, shift, spread, gate, scale_norm):
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    scale = None if scale_norm is None else \
+        _with_norm(rng, rows, cols, _near(rng, k, scale_norm, 0.0, spread))
+    level = gate * max(1.0, scale_norm or 0.0)
+    m = _with_norm(rng, rows, cols, _near(rng, k, level, shift, spread))
+    assert nk._norm_within(m, gate, scale) == _spectral_within(m, gate, scale)
+
+
+def _gate_outcome(fn, *args, **kwargs):
+    """The bytes of what ``fn`` returns, or the type and message it raised."""
+    try:
+        value = fn(*args, **kwargs)
+    except (GresolvError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, tuple):  # an extension and its class
+        ext, cls = value
+        return ext.dom.basis.tobytes(), ext.action.tobytes(), cls
+    return value.tobytes()
+
+
+def _both_forms(monkeypatch, fn, *args, **kwargs):
+    """The outcome of ``fn`` with the gates as they are and in their SVD form."""
+    fast = _gate_outcome(fn, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(nk, "_norm_within", _spectral_within)
+        spectral = _gate_outcome(fn, *args, **kwargs)
+    return fast, spectral
+
+
+NEAR = [-1e-2, -1e-10, 1e-10, 1e-2]
+
+
+def _symmetric_with_frames(seed):
+    """A symmetric operator on C^6 with defect numbers (2, 2) and the parameter
+    frames at the anchor 1j, whose overlap leaves the test systems well posed."""
+    rng = np.random.default_rng(seed)
+    a = g.SymmetricOp.random(6, 4, rng)
+    src, dst = (pair.n_space for pair in parameter_frames(a, 1j))
+    return rng, a, src, dst
+
+
+@pytest.mark.parametrize("shift", NEAR)
+@pytest.mark.parametrize("spread", [0.0, 1.0])
+@pytest.mark.parametrize("case", ["leak", "leak-relative", "contraction", "contraction-far"])
+def test_defect_block_gates_match_their_spectral_form(case, spread, shift, monkeypatch):
+    """A resolvent value built so that defect_block's Cayley transform sends the
+    anchor defect frame to ``dst C + L``, with L orthogonal to ``dst``: the
+    leak or the block norm sits within ``shift`` of its gate."""
+    rng, a, src, dst = _symmetric_with_frames(3)
+    n, k = src.basis.shape
+    z = 1j
+    lam = 1e6j if case == "contraction-far" else 2j
+    if case.startswith("leak"):
+        c = _with_norm(rng, k, k, _near(rng, k, 3.0 if case == "leak-relative" else 0.5, 0.0, 0.5))
+        image_norm = nk.op_norm(c)
+        off = (np.eye(n) - nk.projector(dst)) @ (rng.standard_normal((n, k))
+                                                 + 1j * rng.standard_normal((n, k)))
+        u, _, vh = np.linalg.svd(off, full_matrices=False)
+        leak = u @ np.diag(_near(rng, k, 1e-8 * max(1.0, image_norm), shift, spread)) @ vh
+    else:
+        gate = max(1e-10, 256.0 * nk._EPS * abs(lam))
+        c = _with_norm(rng, k, k, _near(rng, k, 1.0 + gate, shift, spread))
+        leak = np.zeros((n, k), dtype=complex)
+    p = nk.projector(src)
+    w = (dst.basis @ c + leak) @ src.basis.conj().T + 2.0 * (np.eye(n) - p)
+    y = (w - np.eye(n)) / (z - np.conj(z))
+    r_val = np.linalg.inv(np.linalg.inv(y) - (lam - z) * np.eye(n))
+    r = g.ResolventModel(a, lambda point, b=False: r_val)
+    fast, spectral = _both_forms(monkeypatch, g.defect_block, r, a, z, lam, validate=False)
+    assert fast == spectral
+
+
+@pytest.mark.parametrize("shift", NEAR)
+@pytest.mark.parametrize("spread", [0.0, 1.0])
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_off_defect_gate_matches_its_spectral_form(side, spread, shift, monkeypatch):
+    """A parameter whose source frame or image leaves its defect space by about
+    ``STRUCT_GATE``; past the gate, the extension is built as before."""
+    rng, a, src, dst = _symmetric_with_frames(4)
+    n, k = src.basis.shape
+    frame = src if side == "src" else dst
+    away = nk.orthogonal_complement(frame).basis[:, :k]
+    tilt = away @ np.diag(_near(rng, k, nk.STRUCT_GATE, shift, spread))
+    if side == "src":
+        t = g.PartialMap(nk.orthonormalize(src.basis + tilt), 0.5 * dst.basis)
+    else:
+        t = g.PartialMap(src, 0.5 * dst.basis + tilt)
+    fast, spectral = _both_forms(monkeypatch, g.neumann_extension, a, 1j, t)
+    assert fast == spectral
 
 
 #: upper bounds on the SVD fallbacks of one ``verify --suite all`` run of the

@@ -188,3 +188,18 @@ def test_unitary_eigenvalues_unimodular(n, seed):
     for lam, proj in nk.eig_normal(u, "unitary"):
         assert abs(abs(lam) - 1.0) < 1e-10
         assert nk.op_norm(proj @ proj - proj) < 1e-10
+
+
+def test_subspace_checks_outside_frames_but_not_svd_frames(monkeypatch, rng):
+    skewed = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-6], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="orthonormal"):
+        nk.Subspace(skewed)
+    checked = []
+    monkeypatch.setattr(nk.Subspace, "__post_init__", lambda self: checked.append(self))
+    m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    s = nk.orthonormalize(m)
+    frames = (s, nk.orthogonal_complement(s), nk.intersect(s, nk.orthonormalize(m[:, :2])))
+    assert checked == []
+    assert [f.dim for f in frames] == [3, 2, 2]
+    for frame in frames:
+        assert nk.isometry_defect(frame.basis) < 1e-14

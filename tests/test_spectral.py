@@ -180,6 +180,25 @@ def test_gap_report_non_unitary_parameter_flagged():
     assert all(rec.unitarity_defect > 1e-2 for rec in report.records)
 
 
+def test_gap_report_takes_one_unitarity_defect_for_a_constant_parameter(monkeypatch):
+    v = partial_identity_isometry()
+    n0 = g.defect_subspaces(v, 0.0).n_space
+    ninf = g.defect_subspaces(v, g.INFINITY).n_space
+    value = np.array([[0.5 + 0.25j]])
+    param = g.ContractionParam.constant(n0, ninf, value)
+    expected = max(nk.isometry_defect(value), nk.isometry_defect(value.conj().T))
+    calls = []
+
+    def defect(m, _real=nk.isometry_defect):
+        calls.append(m)
+        return _real(m)
+
+    monkeypatch.setattr(nk, "isometry_defect", defect)
+    report = g.gap_report(v, param, 0.0, g.ArcSpec("circle", 2.0, 3.0), 16)
+    assert len(calls) == 2 and len(report.records) == 16
+    assert all(rec.unitarity_defect == expected for rec in report.records)
+
+
 def test_gap_report_anchored_parameter(rng):
     # anchored away from 0 the same in-space extension is described by a
     # different constant parameter; verdicts agree with the atoms either way

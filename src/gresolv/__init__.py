@@ -9,7 +9,7 @@ from .errors import (FixedPointObstruction, GresolvError, InternalDisagreement,
                      SingularSystem, T22NotAdmissible)
 from .numkernel import (CMatrix, DEFAULT_TOL, Subspace, TolPolicy, eig_normal,
                         intersect, orthogonal_complement, orthonormalize,
-                        projector, solve)
+                        projector, solve, tolerance)
 from .operators import (INFINITY, DefectPair, IsometryOp,
                         PartialOperator, SymmetricOp, cayley_transform,
                         classify_signs, defect_subspaces, is_regular_type,

@@ -22,7 +22,7 @@ from .errors import GresolvError, NotRegularType, PreconditionViolated
 from .extensions import (block_param_from_map, build_admissible_isometry,
                          exit_frames, ExitSpaceModel, PartialMap,
                          _exit_space_extension, unitary_exit_extension)
-from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
+from .numkernel import CMatrix, Subspace, TolPolicy
 from .operators import IsometryOp, SymmetricOp, cayley_transform, parameter_frames
 from .resolvents import (ContractionParam, ResolventModel,
                          DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES,
@@ -50,17 +50,24 @@ def _c_to_json(value: complex) -> list:
 def _c_from_json(value, field: str = "value") -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ParseError(f"{field}: expected [re, im], got {value!r}")
-    z = complex(_number(float, value[0], field), _number(float, value[1], field))
+    z = complex(_number(value[0], field), _number(value[1], field))
     if not cmath.isfinite(z):
         raise ParseError(f"{field}: non-finite entry {value!r}")
     return z
 
 
-def _number(kind: type, value, field: str):
+def _number(value, field: str) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{field}: expected a number, got {value!r}") from exc
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer; a bool, a float or a string is not one."""
+    if type(value) is not int:
+        raise ParseError(f"{field}: expected an integer, got {value!r}")
+    return value
 
 
 def _object(value, field: str) -> dict:
@@ -123,17 +130,17 @@ class InstanceFile:
             return SymmetricOp(sub, self.action_or_range)
         raise ParseError(f"unknown instance kind {self.kind!r}")
 
-    def model(self, tol: TolPolicy = DEFAULT_TOL) -> ExitSpaceModel | None:
+    def model(self) -> ExitSpaceModel | None:
         if self.exit_block is None:
             return None
         op = self.operator
         if self.kind == "isometric":
-            return unitary_exit_extension(op, self.exit_dim, w_block=self.exit_block, tol=tol)
+            return unitary_exit_extension(op, self.exit_dim, w_block=self.exit_block)
         exit_op = SymmetricOp.null(self.exit_dim)
-        frames = exit_frames(op, exit_op, self.anchor, tol)
+        frames = exit_frames(op, exit_op, self.anchor)
         tmap = PartialMap.from_coords(frames.src, frames.dst, self.exit_block)
         block = block_param_from_map(tmap, frames, isometry=True)
-        return _exit_space_extension(op, exit_op, self.anchor, block, frames, tol)
+        return _exit_space_extension(op, exit_op, self.anchor, block, frames)
 
     def parameter_anchor(self) -> complex:
         """Anchor of the parameter block: z0 in the disk (0 when not given) on
@@ -142,12 +149,12 @@ class InstanceFile:
             return self.anchor
         return _c_from_json((self.parameter or {}).get("z0", [0.0, 0.0]), "parameter.z0")
 
-    def parameter_family(self, tol: TolPolicy = DEFAULT_TOL) -> ContractionParam | None:
+    def parameter_family(self) -> ContractionParam | None:
         if self.parameter is None:
             return None
         par = self.parameter
         src, dst = (pair.n_space for pair in
-                    parameter_frames(self.operator, self.parameter_anchor(), tol))
+                    parameter_frames(self.operator, self.parameter_anchor()))
         anchor = self.anchor if self.kind == "symmetric" else None
         hint = (dst.dim, src.dim)
         mats = [_m_from_json(par[key], hint, f"parameter.{key}")
@@ -180,12 +187,13 @@ class InstanceFile:
     def from_json(cls, obj: dict) -> "InstanceFile":
         obj = _object(obj, "instance")
         try:
-            if obj.get("schema_version") != SCHEMA_VERSION:
-                raise ParseError(f"unsupported schema version {obj.get('schema_version')!r}")
-            n = _number(int, obj["ambient_dim"], "ambient_dim")
+            version = _integer(obj.get("schema_version"), "schema_version")
+            if version != SCHEMA_VERSION:
+                raise ParseError(f"schema_version: unsupported version {version}")
+            n = _integer(obj["ambient_dim"], "ambient_dim")
             if n < 1:
                 raise ParseError(f"ambient_dim: expected a positive dimension, got {n}")
-            d = _number(int, obj["domain_dim"], "domain_dim")
+            d = _integer(obj["domain_dim"], "domain_dim")
             dom = _m_from_json(obj["domain_basis"], (n, d), "domain_basis")
             act = _m_from_json(obj["action_or_range"], (n, d), "action_or_range")
             for name, (rows, cols) in (("domain_basis", dom.shape), ("action_or_range", act.shape)):
@@ -196,7 +204,7 @@ class InstanceFile:
             exit_obj = obj.get("exit")
             kwargs = {}
             if exit_obj is not None:
-                m = _number(int, _object(exit_obj, "exit")["dim"], "exit.dim")
+                m = _integer(_object(exit_obj, "exit")["dim"], "exit.dim")
                 if m < 0:
                     raise ParseError(f"exit.dim: expected a nonnegative dimension, got {m}")
                 defect = (n - d) + m
@@ -220,7 +228,7 @@ class InstanceFile:
                 _c_from_json(par.get("z0", [0.0, 0.0]), "parameter.z0")
             return cls(kind=obj["kind"], domain_basis=dom,
                        action_or_range=act, parameter=obj.get("parameter"),
-                       seed=_number(int, obj.get("seed", 0), "seed"), **kwargs)
+                       seed=_integer(obj.get("seed", 0), "seed"), **kwargs)
         except KeyError as exc:
             raise ParseError(f"missing instance field {exc}") from exc
 
@@ -340,26 +348,26 @@ def _required(model: ExitSpaceModel | None) -> ExitSpaceModel:
     return model
 
 
-def run_suite(inst: InstanceFile, suite: str, tol: TolPolicy) -> Report:
+def run_suite(inst: InstanceFile, suite: str) -> Report:
     report = Report(suite)
     wanted = ("axioms", "oracle", "gap", "limits") if suite == "all" else (suite,)
     op = inst.operator
     # one exit-space model per run, built only when a suite reads it
-    model = inst.model(tol) if {"axioms", "oracle", "limits"} & set(wanted) else None
+    model = inst.model() if {"axioms", "oracle", "limits"} & set(wanted) else None
     if "axioms" in wanted:
-        _suite_axioms(inst, op, _required(model), tol, report)
+        _suite_axioms(inst, op, _required(model), report)
     if "oracle" in wanted:
-        _suite_oracle(inst, op, _required(model), tol, report)
+        _suite_oracle(inst, op, _required(model), report)
     if "gap" in wanted:
-        _suite_gap(inst, op, tol, report)
+        _suite_gap(inst, op, report)
     if "limits" in wanted:
-        _suite_limits(inst, op, model, tol, report)
+        _suite_limits(inst, op, model, report)
     return report
 
 
 def _suite_axioms(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitSpaceModel,
-                  tol: TolPolicy, report: Report) -> None:
-    r = ResolventModel.from_dilation(model, tol)
+                  report: Report) -> None:
+    r = ResolventModel.from_dilation(model)
     if inst.kind == "isometric":
         axioms = verify_resolvent_axioms(r, op)
         for check in axioms.checks:
@@ -367,7 +375,7 @@ def _suite_axioms(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
         return
     # symmetric side: transfer to the transformed isometry and check there
     z = inst.anchor
-    u = cayley_transform(op, z, tol)
+    u = cayley_transform(op, z)
 
     def transferred_at(points):
         # the transfer leaves the points 0 and 1 to continuity; 0 maps to the
@@ -389,33 +397,32 @@ def _suite_axioms(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
 
 
 def _suite_oracle(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitSpaceModel,
-                  tol: TolPolicy, report: Report) -> None:
-    r = ResolventModel.from_dilation(model, tol)
+                  report: Report) -> None:
+    r = ResolventModel.from_dilation(model)
     worst = 0.0
     if inst.kind == "isometric":
-        family = recovered_parameter_family(r, tol)
+        family = recovered_parameter_family(r)
         for zeta, oracle in zip(DEFAULT_DISK_SAMPLES, r.at(DEFAULT_DISK_SAMPLES)):
-            worst = max(worst, nk.op_norm(direct_sum_resolvent(op, family, zeta, tol) - oracle))
+            worst = max(worst, nk.op_norm(direct_sum_resolvent(op, family, zeta) - oracle))
         report.add("direct-sum-formula-vs-dilation", worst <= 1e-9, worst, "oracle-equivalence")
         return
-    family = defect_block_family(r, op, inst.anchor, tol)
+    family = defect_block_family(r, op, inst.anchor)
     for lam, oracle in zip(DEFAULT_HALFPLANE_SAMPLES, r.at(DEFAULT_HALFPLANE_SAMPLES)):
         worst = max(worst, nk.op_norm(
-            extension_resolvent(op, family, inst.anchor, lam, tol, validate=False) - oracle))
+            extension_resolvent(op, family, inst.anchor, lam, validate=False) - oracle))
     report.add("extension-formula-vs-dilation", worst <= 1e-9, worst, "oracle-equivalence")
-    atoms = spectral_measure(model, tol)
+    atoms = spectral_measure(model)
     res = verify_integral_representation(atoms, r, DEFAULT_HALFPLANE_SAMPLES)
     report.add("atomic-integral-representation", res <= 1e-10, res, "oracle-equivalence")
 
 
-def _suite_gap(inst: InstanceFile, op: IsometryOp | SymmetricOp, tol: TolPolicy,
-               report: Report) -> None:
-    param = inst.parameter_family(tol)
+def _suite_gap(inst: InstanceFile, op: IsometryOp | SymmetricOp, report: Report) -> None:
+    param = inst.parameter_family()
     if param is None:
         report.add("gap-parameter-present", False, np.inf, "gap-criteria")
         return
     anchor = inst.parameter_anchor()
-    atoms = in_space_atoms(op, param, anchor, tol)
+    atoms = in_space_atoms(op, param, anchor)
     if atoms is None:
         raise PreconditionViolated("gap checks need a unitary parameter with an in-space extension")
     locs = [loc for loc, _ in atoms.atoms]  # increasing
@@ -436,7 +443,7 @@ def _suite_gap(inst: InstanceFile, op: IsometryOp | SymmetricOp, tol: TolPolicy,
         else:
             hi = wrap - 1e-6
     region_free = ArcSpec(kind, float(lo), float(hi))
-    rep_free = gap_report(op, param, anchor, region_free, 32, tol)
+    rep_free = gap_report(op, param, anchor, region_free, 32)
     report.add("gap-verdict-on-atom-free-region", rep_free.analytic,
                rep_free.refined_min_margin, "gap-criteria")
     # a region containing the first atom: expect an obstruction, either a
@@ -446,7 +453,7 @@ def _suite_gap(inst: InstanceFile, op: IsometryOp | SymmetricOp, tol: TolPolicy,
         lo2, hi2 = max(lo2, 0.0), min(hi2, wrap - 1e-9)
     region_atom = ArcSpec(kind, float(lo2), float(hi2))
     try:
-        rep_atom = gap_report(op, param, anchor, region_atom, 32, tol)
+        rep_atom = gap_report(op, param, anchor, region_atom, 32)
         obstructed, margin = not rep_atom.analytic, rep_atom.refined_min_margin
     except (NotRegularType, PreconditionViolated):
         obstructed, margin = True, 0.0
@@ -454,14 +461,14 @@ def _suite_gap(inst: InstanceFile, op: IsometryOp | SymmetricOp, tol: TolPolicy,
 
 
 def _suite_limits(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitSpaceModel | None,
-                  tol: TolPolicy, report: Report) -> None:
+                  report: Report) -> None:
     if inst.kind != "symmetric":
         report.add("limits-not-applicable-isometric", True, 0.0, "boundary-limits")
         return
     if model is None:
         report.add("limits-model-present", False, np.inf, "boundary-limits")
         return
-    rep = boundary_parameter(op, model, inst.anchor, tol)
+    rep = boundary_parameter(op, model, inst.anchor)
     errs = rep.limit_errors
     if errs.size:
         # below 1e-9 the curve is machine noise: converged, jitter tolerated
@@ -496,13 +503,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _tol_from_args(args) -> TolPolicy:
-    return TolPolicy(abs_floor=args.abs_floor, rank_rel=args.rank_rel)
-
-
 def cmd_verify(args) -> int:
     inst = load_instance(args.instance)
-    report = run_suite(inst, args.suite, _tol_from_args(args))
+    report = run_suite(inst, args.suite)
     print(report.render())
     if args.out:
         _write_text(args.out, json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
@@ -516,8 +519,7 @@ def _cells(mat: CMatrix) -> str:
 
 def cmd_resolvent(args) -> int:
     inst = load_instance(args.instance)
-    tol = _tol_from_args(args)
-    r = ResolventModel.from_dilation(_required(inst.model(tol)), tol)
+    r = ResolventModel.from_dilation(_required(inst.model()))
     lines = ["# re(point)\tim(point)\tentries re,im row-major"]
     for point in _sample_points(inst, args.grid):
         lines.append(f"{point.real:.12e}\t{point.imag:.12e}\t{_cells(r(point))}")
@@ -527,8 +529,7 @@ def cmd_resolvent(args) -> int:
 
 def cmd_spectrum(args) -> int:
     inst = load_instance(args.instance)
-    tol = _tol_from_args(args)
-    atoms = spectral_measure(_required(inst.model(tol)), tol)
+    atoms = spectral_measure(_required(inst.model()))
     label = "angle" if atoms.kind == "circle" else "location"
     lines = [f"# {label}\tweight entries re,im row-major"]
     for loc, weight in atoms.atoms:
@@ -539,13 +540,12 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gap(args) -> int:
     inst = load_instance(args.instance)
-    tol = _tol_from_args(args)
-    param = inst.parameter_family(tol)
+    param = inst.parameter_family()
     if param is None:
         raise ParseError("gap reports need a parameter block in the instance")
     kind = "circle" if inst.kind == "isometric" else "line"
     region = ArcSpec(kind, args.region[0], args.region[1])
-    report = gap_report(inst.operator, param, inst.parameter_anchor(), region, args.grid, tol)
+    report = gap_report(inst.operator, param, inst.parameter_anchor(), region, args.grid)
     lines = [f"# gap report on {kind} region ({region.lo}, {region.hi})",
              f"verdict: {'analytic' if report.analytic else 'not analytic'}",
              f"refined min margin: {report.refined_min_margin:.6e}"]
@@ -617,7 +617,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with nk.tolerance(TolPolicy(abs_floor=args.abs_floor, rank_rel=args.rank_rel)):
+            return args.func(args)
     except (GresolvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import InternalDisagreement, NotAdmissible, NumericalFailure, T22NotAdmissible
-from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
+from .numkernel import CMatrix, Subspace
 from .operators import (IsometryOp, PartialOperator, SymmetricOp, _memoized, _transport,
                         cayley_transform, parameter_frames, require_nonreal)
 
@@ -143,7 +143,7 @@ def embed_exit(mat: CMatrix, inner_dim: int) -> CMatrix:
     return np.vstack([np.zeros((inner_dim, mat.shape[1]), dtype=np.complex128), mat])
 
 
-def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL) -> PartialMap:
+def forbidden_operator(a: SymmetricOp, z: complex) -> PartialMap:
     """The isometry pairing defect vectors that are comparable modulo the domain.
 
     Every vector orthogonal to the closed domain projects to a source vector in
@@ -158,9 +158,9 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
         ortho = nk.orthogonal_complement(a.dom)
         if ortho.dim == 0:
             return PartialMap.empty(n)
-        p_src, p_dst = (nk.projector(pair.n_space) for pair in parameter_frames(a, z, tol))
+        p_src, p_dst = (nk.projector(pair.n_space) for pair in parameter_frames(a, z))
         shadow = p_src @ ortho.basis
-        src = nk.orthonormalize(shadow, tol)
+        src = nk.orthonormalize(shadow)
         if src.dim != ortho.dim:
             raise NumericalFailure("projection of the domain complement lost rank")
         lift, *_ = np.linalg.lstsq(shadow, src.basis, rcond=None)
@@ -168,7 +168,7 @@ def forbidden_operator(a: SymmetricOp, z: complex, tol: TolPolicy = DEFAULT_TOL)
         if not nk.is_isometric(matrix, nk.BUILT_GATE):
             raise NumericalFailure("forbidden operator failed its isometry check")
         return PartialMap(src, matrix)
-    return _memoized(a, "forbidden", z, tol, build)
+    return _memoized(a, "forbidden", z, build)
 
 
 def forbidden_lift(a: SymmetricOp, z: complex, x: PartialMap,
@@ -189,20 +189,19 @@ def forbidden_lift(a: SymmetricOp, z: complex, x: PartialMap,
     return (a.action @ coords - np.conj(z) * psi + z * phi) / (z - np.conj(z))
 
 
-def is_admissible(a: SymmetricOp, z: complex, t: PartialMap,
-                  tol: TolPolicy = DEFAULT_TOL) -> bool:
+def is_admissible(a: SymmetricOp, z: complex, t: PartialMap) -> bool:
     """Whether a defect-space parameter admits an extension (two independent tests).
 
     Test (a): the difference with the forbidden operator has trivial kernel on
     the common domain.  Test (b): the direct sum of the Cayley transform and
     the parameter has no eigenvalue 1 on its domain.  Both verdicts must agree.
     """
-    x = forbidden_operator(a, z, tol)
-    common = nk.intersect(t.src, x.src, tol)
-    verdict_a, _ = nk.injective((t.ambient() - x.ambient()) @ common.basis, tol)
-    u = cayley_transform(a, z, tol)
+    x = forbidden_operator(a, z)
+    common = nk.intersect(t.src, x.src)
+    verdict_a, _ = nk.injective((t.ambient() - x.ambient()) @ common.basis)
+    u = cayley_transform(a, z)
     frame = np.hstack([u.dom.basis, t.src.basis])
-    verdict_b, _ = nk.injective(np.hstack([u.action, t.matrix]) - frame, tol)
+    verdict_b, _ = nk.injective(np.hstack([u.action, t.matrix]) - frame)
     if verdict_a != verdict_b:
         raise InternalDisagreement(
             f"kernel test says {verdict_a}, fixed-point test says {verdict_b}")
@@ -220,7 +219,6 @@ class ExtensionClass:
 
 
 def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
-                      tol: TolPolicy = DEFAULT_TOL,
                       validate: bool = True) -> tuple[PartialOperator, ExtensionClass]:
     """Extension with domain D(A) + (T - E) D(T) acting by f + T psi - psi
     -> A f + z T psi - conj(z) psi.
@@ -232,20 +230,20 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
     """
     require_nonreal(z)
     n = a.ambient_dim
-    pair_z, pair_zbar = parameter_frames(a, z, tol)
+    pair_z, pair_zbar = parameter_frames(a, z)
     if t.dim:
         off_src = (np.eye(n) - nk.projector(pair_z.n_space)) @ t.src.basis
         off_dst = (np.eye(n) - nk.projector(pair_zbar.n_space)) @ t.matrix
         if not all(nk._norm_within(off, nk.STRUCT_GATE) for off in (off_src, off_dst)):
             raise ValueError("parameter does not map between the defect subspaces")
     nk.check_contraction(t.matrix, "parameter norm")
-    if not is_admissible(a, z, t, tol):
+    if not is_admissible(a, z, t):
         raise NotAdmissible("parameter")
     isometric = t.is_isometric()
 
     ext = PartialOperator(*_transport(
         np.hstack([a.dom.basis, t.matrix - t.src.basis]),
-        np.hstack([a.action, z * t.matrix - np.conj(z) * t.src.basis]), tol))
+        np.hstack([a.action, z * t.matrix - np.conj(z) * t.src.basis])))
 
     full_dom = t.dim == pair_z.n_space.dim
     full_ran = isometric and t.dim == pair_zbar.n_space.dim
@@ -256,15 +254,14 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
         cls = ExtensionClass(kind, True, full_dom, False)
 
     if validate and t.dim:
-        _check_neumann_tail(a, z, t, ext, tol)
+        _check_neumann_tail(a, z, t, ext)
     return ext, cls
 
 
-def _check_neumann_tail(a: SymmetricOp, z: complex, t: PartialMap, ext: PartialOperator,
-                        tol: TolPolicy) -> None:
+def _check_neumann_tail(a: SymmetricOp, z: complex, t: PartialMap, ext: PartialOperator) -> None:
     """The parameter recovered from the extension must be the input one."""
     try:
-        back = neumann_parameter(ext, a, z, tol)
+        back = neumann_parameter(ext, a, z)
     except NumericalFailure as exc:
         raise InternalDisagreement(f"extension does not reproduce the parameter: {exc}") from exc
     if back.dim != t.dim or nk.op_norm(nk.projector(back.src) - nk.projector(t.src)) > 1e-8:
@@ -273,8 +270,7 @@ def _check_neumann_tail(a: SymmetricOp, z: complex, t: PartialMap, ext: PartialO
         raise InternalDisagreement("extension does not reproduce the parameter")
 
 
-def neumann_parameter(b: PartialOperator, a: SymmetricOp, z: complex,
-                      tol: TolPolicy = DEFAULT_TOL) -> PartialMap:
+def neumann_parameter(b: PartialOperator, a: SymmetricOp, z: complex) -> PartialMap:
     """Recover the defect-space parameter of an extension of ``a`` at anchor z.
 
     Inverse of ``neumann_extension``: the source is the defect space at z
@@ -283,8 +279,8 @@ def neumann_parameter(b: PartialOperator, a: SymmetricOp, z: complex,
     """
     n = a.ambient_dim
     shifted = b.action - z * b.dom.basis
-    rng = nk.orthonormalize(shifted, tol)
-    src = nk.intersect(parameter_frames(a, z, tol)[0].n_space, rng, tol)
+    rng = nk.orthonormalize(shifted)
+    src = nk.intersect(parameter_frames(a, z)[0].n_space, rng)
     if src.dim == 0:
         return PartialMap.empty(n)
     sol, *_ = np.linalg.lstsq(shifted, src.basis, rcond=None)
@@ -294,7 +290,7 @@ def neumann_parameter(b: PartialOperator, a: SymmetricOp, z: complex,
 
 
 def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst: Subspace,
-                              seed: int, tol: TolPolicy = DEFAULT_TOL) -> PartialMap:
+                              seed: int) -> PartialMap:
     """Seeded admissible isometry from one defect subspace onto another.
 
     Restricts the forbidden operator to the part mapping n_src into n_dst,
@@ -308,13 +304,13 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
     rng = np.random.default_rng(seed)
     if n_src.dim == 0:
         return PartialMap.empty(n)
-    x = forbidden_operator(a, z, tol)
+    x = forbidden_operator(a, z)
     eye = np.eye(n)
 
     # part of the forbidden operator that stays inside the chosen subspaces
-    inside = nk.intersect(x.src, n_src, tol)
+    inside = nk.intersect(x.src, n_src)
     if inside.dim:
-        kernel = nk.kernel((eye - nk.projector(n_dst)) @ x.ambient() @ inside.basis, tol)
+        kernel = nk.kernel((eye - nk.projector(n_dst)) @ x.ambient() @ inside.basis)
         core = Subspace(inside.basis @ kernel)
     else:
         core = Subspace.empty(n)
@@ -323,24 +319,24 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
     alpha = rng.uniform(np.pi / 4.0, 7.0 * np.pi / 4.0)
 
     if core.dim:
-        img = nk.orthonormalize(x.ambient() @ core.basis, tol)
-        target = nk.orthonormalize(w_rand @ core.basis, tol)
+        img = nk.orthonormalize(x.ambient() @ core.basis)
+        target = nk.orthonormalize(w_rand @ core.basis)
         u0 = target.basis @ img.basis.conj().T
-        overlap = nk.intersect(img, target, tol)
+        overlap = nk.intersect(img, target)
         if overlap.dim:
-            fixed = overlap.basis @ nk.kernel((u0 - eye) @ overlap.basis, tol)
+            fixed = overlap.basis @ nk.kernel((u0 - eye) @ overlap.basis)
         else:
             fixed = np.zeros((n, 0), dtype=np.complex128)
         p_fixed = fixed @ fixed.conj().T
         corrector = np.exp(1j * alpha) * p_fixed + u0 @ (nk.projector(img) - p_fixed)
         corrected = corrector @ x.ambient() @ core.basis
-        ran_s = nk.orthonormalize(corrector @ img.basis, tol)
+        ran_s = nk.orthonormalize(corrector @ img.basis)
     else:
         corrected = np.zeros((n, 0), dtype=np.complex128)
         ran_s = Subspace.empty(n)
 
-    rem_src = nk.orthonormalize((eye - nk.projector(core)) @ n_src.basis, tol)
-    rem_dst = nk.orthonormalize((eye - nk.projector(ran_s)) @ n_dst.basis, tol)
+    rem_src = nk.orthonormalize((eye - nk.projector(core)) @ n_src.basis)
+    rem_dst = nk.orthonormalize((eye - nk.projector(ran_s)) @ n_dst.basis)
     if rem_src.dim != rem_dst.dim:
         raise NumericalFailure("left-over defect directions do not balance")
     completion = rem_dst.basis @ nk.haar_unitary(rem_src.dim, rng)
@@ -349,7 +345,7 @@ def build_admissible_isometry(a: SymmetricOp, z: complex, n_src: Subspace, n_dst
     result = PartialMap(src, np.hstack([corrected, completion]))
     if not result.is_isometric(nk.BUILT_GATE):
         raise NumericalFailure("constructed map lost its isometry")
-    if not is_admissible(a, z, result, tol):
+    if not is_admissible(a, z, result):
         raise NumericalFailure("constructed map failed the admissibility check")
     return result
 
@@ -381,12 +377,11 @@ class ExitFrames:
         return Subspace(np.hstack([self.dst_inner.basis, self.dst_exit.basis]))
 
 
-def exit_frames(a: SymmetricOp, exit_op: SymmetricOp, z: complex,
-                tol: TolPolicy = DEFAULT_TOL) -> ExitFrames:
+def exit_frames(a: SymmetricOp, exit_op: SymmetricOp, z: complex) -> ExitFrames:
     n, m = a.ambient_dim, exit_op.ambient_dim
     coupled = direct_sum(a, exit_op)
-    nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z, tol))
-    nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z, tol))
+    nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z))
+    nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z))
     return ExitFrames(
         coupled,
         Subspace(embed_inner(nz_a.basis, m)), Subspace(embed_exit(nz_e.basis, n)),
@@ -417,7 +412,6 @@ def block_param_from_map(tmap: PartialMap, frames: ExitFrames, isometry: bool = 
 
 
 def compressed_parameter(a: SymmetricOp, z: complex, block: BlockParam,
-                         tol: TolPolicy = DEFAULT_TOL,
                          exit_op: SymmetricOp | None = None) -> PartialMap:
     """Compression of a split defect parameter to the inner defect spaces.
 
@@ -429,8 +423,8 @@ def compressed_parameter(a: SymmetricOp, z: complex, block: BlockParam,
     """
     if exit_op is None:
         exit_op = SymmetricOp.null(block.t22.shape[1])
-    x_e = forbidden_operator(exit_op, z, tol)
-    nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z, tol))
+    x_e = forbidden_operator(exit_op, z)
+    nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z))
     # coordinates of the exit forbidden operator inside the exit defect frames
     src_c = nz_e.basis.conj().T @ x_e.src.basis
     img_c = nzb_e.basis.conj().T @ x_e.matrix
@@ -438,14 +432,14 @@ def compressed_parameter(a: SymmetricOp, z: complex, block: BlockParam,
     # the exit forbidden operator: both counts are the codimension of the exit
     # domain, so the system is square
     elim = img_c - block.t22 @ src_c
-    if not nk.injective(elim, tol)[0]:
+    if not nk.injective(elim)[0]:
         raise T22NotAdmissible()
     if elim.shape[1]:
-        psi2 = src_c @ nk.solve(elim, block.t21, tol)
+        psi2 = src_c @ nk.solve(elim, block.t21)
     else:
         psi2 = np.zeros((block.t22.shape[1], block.t21.shape[1]), dtype=np.complex128)
     phi_coords = block.t11 + block.t12 @ psi2
-    nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z, tol))
+    nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z))
     result = PartialMap.from_coords(nz_a, nzb_a, phi_coords)
     if block.isometry and not result.is_isometric(nk.BUILT_GATE):
         raise NumericalFailure("compression of an isometric block lost its isometry")
@@ -453,7 +447,6 @@ def compressed_parameter(a: SymmetricOp, z: complex, block: BlockParam,
 
 
 def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: BlockParam,
-                         tol: TolPolicy = DEFAULT_TOL,
                          exit_op: SymmetricOp | None = None) -> ExitSpaceModel:
     """Self-adjoint extension of ``a`` acting on inner + exit coordinates.
 
@@ -466,23 +459,23 @@ def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: Block
         exit_op = SymmetricOp.null(exit_dim)
     if exit_op.ambient_dim != exit_dim:
         raise ValueError("exit operator dimension mismatch")
-    return _exit_space_extension(a, exit_op, z, block, exit_frames(a, exit_op, z, tol), tol)
+    return _exit_space_extension(a, exit_op, z, block, exit_frames(a, exit_op, z))
 
 
 def _exit_space_extension(a: SymmetricOp, exit_op: SymmetricOp, z: complex, block: BlockParam,
-                          frames: ExitFrames, tol: TolPolicy) -> ExitSpaceModel:
-    """``exit_space_extension`` on the frames ``exit_frames(a, exit_op, z, tol)``
+                          frames: ExitFrames) -> ExitSpaceModel:
+    """``exit_space_extension`` on the frames ``exit_frames(a, exit_op, z)``
     that the caller already holds."""
     if not nk.is_unitary(block.assembled(), nk.STRUCT_GATE):
         raise ValueError("self-adjoint models need a unitary block between full defect spaces")
     tmap = assemble_block_map(frames, block)
-    phi = compressed_parameter(a, z, block, tol, exit_op)
-    if not is_admissible(a, z, phi, tol):
+    phi = compressed_parameter(a, z, block, exit_op)
+    if not is_admissible(a, z, phi):
         raise NotAdmissible("phi")
     iso_block = BlockParam(block.t11, block.t12, block.t21, block.t22, isometry=True) \
         if not block.isometry else block
     try:
-        ext, cls = neumann_extension(frames.coupled, z, tmap, tol)
+        ext, cls = neumann_extension(frames.coupled, z, tmap)
     except NotAdmissible as exc:
         raise InternalDisagreement("block passed the split tests but fails jointly") from exc
     if not cls.self_adjoint or not ext.is_everywhere_defined:
@@ -494,8 +487,7 @@ def _exit_space_extension(a: SymmetricOp, exit_op: SymmetricOp, z: complex, bloc
 
 def unitary_exit_extension(v: IsometryOp, exit_dim: int,
                            w_block: CMatrix | None = None,
-                           rng: np.random.Generator | None = None,
-                           tol: TolPolicy = DEFAULT_TOL) -> ExitSpaceModel:
+                           rng: np.random.Generator | None = None) -> ExitSpaceModel:
     """Unitary extension of an isometry acting on inner + exit coordinates.
 
     ``w_block`` gives the unitary coordinates from the split source defect
@@ -503,7 +495,7 @@ def unitary_exit_extension(v: IsometryOp, exit_dim: int,
     draws it at random when omitted.
     """
     n, m = v.ambient_dim, exit_dim
-    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
+    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0))
     k = n0.dim
     if ninf.dim != k:
         raise NumericalFailure("defect dimensions of an isometry must balance")
@@ -524,7 +516,7 @@ def unitary_exit_extension(v: IsometryOp, exit_dim: int,
     return ExitSpaceModel(big, v)
 
 
-def compressed_extension(model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) -> PartialOperator:
+def compressed_extension(model: ExitSpaceModel) -> PartialOperator:
     """Compression of a model to the inner space on the inner part of its domain.
 
     The big operator of a model is everywhere defined, so the domain is all of
@@ -536,8 +528,8 @@ def compressed_extension(model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) ->
     comp = PartialOperator(Subspace.full(n), model.big_op[:n, :n].copy())
     if model.kind == "hermitian" and model.anchor is not None and model.block is not None:
         a = model.embeds
-        phi = compressed_parameter(a, model.anchor, model.block, tol, model.exit_op)
-        ext, _ = neumann_extension(a, model.anchor, phi, tol)
+        phi = compressed_parameter(a, model.anchor, model.block, model.exit_op)
+        ext, _ = neumann_extension(a, model.anchor, phi)
         if not ext.is_everywhere_defined:
             raise InternalDisagreement("compressed parameter lost domain directions")
         res = nk.op_norm(comp.full_matrix() - ext.full_matrix())

@@ -1,13 +1,17 @@
-"""Dense complex linear algebra and subspace calculus with an explicit tolerance policy.
+"""Dense complex linear algebra and subspace calculus under one tolerance policy.
 
 Every matrix is a 2-D ``numpy.ndarray`` of ``complex128`` (called ``CMatrix``
-throughout).  A ``Subspace`` is an orthonormal frame; all rank decisions go
-through a single ``TolPolicy`` so that downstream verdicts are reproducible.
+throughout).  A ``Subspace`` is an orthonormal frame; every rank decision
+reads the one ``TolPolicy`` in force (``DEFAULT_TOL`` unless a ``with
+tolerance(policy):`` block sets another), so that downstream verdicts are
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +140,22 @@ class TolPolicy:
 
 DEFAULT_TOL = TolPolicy()
 
+_POLICY: ContextVar[TolPolicy] = ContextVar("gresolv.tolerance", default=DEFAULT_TOL)
+
+#: the policy in force, read where a rank or invertibility decision is made
+_policy = _POLICY.get
+
+
+@contextmanager
+def tolerance(policy: TolPolicy):
+    """Make ``policy`` the one in force for the block, memoized values
+    included; the previous policy is restored on exit, errors included."""
+    token = _POLICY.set(policy)
+    try:
+        yield
+    finally:
+        _POLICY.reset(token)
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -187,8 +207,8 @@ def _fix_phases(q: CMatrix) -> CMatrix:
     return q
 
 
-def orthonormalize(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the column space of ``m``; rank set by ``tol``."""
+def orthonormalize(m: CMatrix) -> Subspace:
+    """Orthonormal basis of the column space of ``m``; rank set by the policy."""
     m = as_cmatrix(m)
     n = m.shape[0]
     if m.shape[1] == 0:
@@ -196,7 +216,7 @@ def orthonormalize(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> Subspace:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace.empty(n)
-    rank = int(np.sum(s > tol.threshold(s[0], n)))
+    rank = int(np.sum(s > _policy().threshold(s[0], n)))
     return _svd_frame(u[:, :rank])
 
 
@@ -218,7 +238,7 @@ def projector(s: Subspace) -> CMatrix:
     return s.basis @ s.basis.conj().T
 
 
-def intersect(s1: Subspace, s2: Subspace, tol: TolPolicy = DEFAULT_TOL) -> Subspace:
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection of two subspaces via SVD of the projector product.
 
     Singular values of P1 P2 are cosines of principal angles; directions with
@@ -234,11 +254,11 @@ def intersect(s1: Subspace, s2: Subspace, tol: TolPolicy = DEFAULT_TOL) -> Subsp
     if s2.dim == n:
         return s1
     u, s, _ = np.linalg.svd(projector(s1) @ projector(s2))
-    keep = s >= 1.0 - 100.0 * tol.abs_floor
+    keep = s >= 1.0 - 100.0 * _policy().abs_floor
     return _svd_frame(u[:, : int(np.sum(keep))])
 
 
-def injective(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> tuple[bool, float]:
+def injective(m: CMatrix) -> tuple[bool, float]:
     """Whether ``m`` has a trivial numerical kernel, with its smallest singular value.
 
     The smallest singular value must exceed the threshold for the row count
@@ -248,20 +268,20 @@ def injective(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> tuple[bool, float]:
     if m.shape[1] == 0:
         return True, np.inf
     s = np.linalg.svd(m, compute_uv=False)
-    return bool(s[-1] > tol.threshold(max(float(s[0]), 1.0), m.shape[0])), float(s[-1])
+    return bool(s[-1] > _policy().threshold(max(float(s[0]), 1.0), m.shape[0])), float(s[-1])
 
 
-def kernel(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def kernel(m: CMatrix) -> CMatrix:
     """Orthonormal columns spanning the numerical kernel of ``m``, under the
     threshold of ``injective``."""
     if m.size == 0:
         return np.eye(m.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol.threshold(max(float(s[0]), 1.0), m.shape[0])))
+    rank = int(np.sum(s > _policy().threshold(max(float(s[0]), 1.0), m.shape[0])))
     return vh.conj().T[:, rank:]
 
 
-def solve(m: CMatrix, b: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def solve(m: CMatrix, b: CMatrix) -> CMatrix:
     """Solve M X = B for square M, rejecting numerically singular systems."""
     m = as_cmatrix(m)
     b = as_cmatrix(b)
@@ -271,18 +291,18 @@ def solve(m: CMatrix, b: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     if n == 0:
         return np.zeros((0, b.shape[1]), dtype=np.complex128)
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= tol.threshold(s[0], n):
+    if s[-1] <= _policy().threshold(s[0], n):
         raise Singular(s[-1])
     return np.linalg.solve(m, b)
 
 
-def _certified(m: CMatrix, x: CMatrix, tol: TolPolicy) -> bool:
+def _certified(m: CMatrix, x: CMatrix) -> bool:
     """Whether X, the ``np.linalg.inv`` of the square M, certifies that
     ``solve`` accepts M; False when M has a non-finite Frobenius norm.
 
     With rho >= ||M X - E||_F, M^-1 = X (E + (M X - E))^-1 gives
     sigma_min(M) >= (1 - rho) / ||X||_F.  ``solve`` rejects M when its
-    smallest singular value is at most ``tol.threshold(sigma_max, n)``, and
+    smallest singular value is at most the policy's ``threshold(sigma_max, n)``, and
     sigma_max <= ||M||_F.  ``rounding`` pads every quantity generously for
     the rounding of the norms, of the product M X and of the SVD.
     """
@@ -290,7 +310,7 @@ def _certified(m: CMatrix, x: CMatrix, tol: TolPolicy) -> bool:
     if not norm < np.inf:
         return False
     rounding = 8.0 * (n + 2) ** 2 * _EPS
-    need = tol.threshold(norm * (1.0 + rounding), n) + rounding * norm
+    need = _policy().threshold(norm * (1.0 + rounding), n) + rounding * norm
     x_norm = _fro(x) * (1.0 + rounding)
     # also rejects a non-finite X, and keeps the entries of M X far from overflow
     if not x_norm * need < 1.0:
@@ -301,8 +321,8 @@ def _certified(m: CMatrix, x: CMatrix, tol: TolPolicy) -> bool:
     return (1.0 - rho) / x_norm > need
 
 
-def inv(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
-    """Inverse of a square M: ``solve(m, E, tol)``, with its verdicts and bits.
+def inv(m: CMatrix) -> CMatrix:
+    """Inverse of a square M: ``solve(m, E)``, with its verdicts and bits.
 
     The inverse comes first and certifies itself (``_certified``);
     ``np.linalg.inv`` returns the bits of ``np.linalg.solve(m, E)``, so a
@@ -317,18 +337,18 @@ def inv(m: CMatrix, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim == 3:
-        return _inv_stack(m, tol)
+        return _inv_stack(m)
     if m.ndim == 2 and m.shape[0] == m.shape[1] > 0:
         try:
             x = np.linalg.inv(m)
         except np.linalg.LinAlgError:
             x = None
-        if x is not None and _certified(m, x, tol):
+        if x is not None and _certified(m, x):
             return x
-    return solve(m, np.eye(m.shape[0], dtype=np.complex128), tol)
+    return solve(m, np.eye(m.shape[0], dtype=np.complex128))
 
 
-def _inv_stack(m: np.ndarray, tol: TolPolicy) -> np.ndarray:
+def _inv_stack(m: np.ndarray) -> np.ndarray:
     """``inv`` of each member of a ``(k, N, N)`` stack, as one array."""
     try:
         x = np.linalg.inv(m) if m.size else None
@@ -339,11 +359,11 @@ def _inv_stack(m: np.ndarray, tol: TolPolicy) -> np.ndarray:
     if x is None:
         x = np.empty(m.shape, dtype=np.complex128)
         for i, member in enumerate(m):
-            x[i] = inv(member, tol)
+            x[i] = inv(member)
         return x
     eye = np.eye(m.shape[1], dtype=np.complex128)
-    for i in np.flatnonzero(~_certified_each(m, x, tol)):
-        x[i] = solve(m[i], eye, tol)
+    for i in np.flatnonzero(~_certified_each(m, x)):
+        x[i] = solve(m[i], eye)
     return x
 
 
@@ -353,16 +373,17 @@ def _fro_each(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", v, v))
 
 
-def _certified_each(m: np.ndarray, x: np.ndarray, tol: TolPolicy) -> np.ndarray:
+def _certified_each(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``_certified`` of each member of a stack and its inverses, from batched
     norms and one batched product.  ``_certified`` stays the body for a single
     matrix, where the fixed cost of the batched calls outweighs the arithmetic."""
     k, n = m.shape[0], m.shape[-1]
     rounding = 8.0 * (n + 2) ** 2 * _EPS
     # a member whose norms or product overflow fails the tests below
+    threshold = _policy().threshold
     with np.errstate(over="ignore", invalid="ignore"):
         norm = _fro_each(m)
-        need = np.array([tol.threshold(s, n) for s in (norm * (1.0 + rounding)).tolist()])
+        need = np.array([threshold(s, n) for s in (norm * (1.0 + rounding)).tolist()])
         need += rounding * norm
         x_norm = _fro_each(x) * (1.0 + rounding)
         r = m @ x
@@ -425,7 +446,7 @@ def _eig_unitary(m: CMatrix) -> list[tuple[complex, CMatrix]]:
     return out
 
 
-def eig_normal(m: CMatrix, kind: str, tol: TolPolicy = DEFAULT_TOL) -> list[tuple[complex, CMatrix]]:
+def eig_normal(m: CMatrix, kind: str) -> list[tuple[complex, CMatrix]]:
     """Eigenvalues and orthogonal eigenprojections of a unitary or Hermitian matrix.
 
     Eigenvalues closer than ``EIG_MERGE_GAP`` are merged into one projection so
@@ -441,7 +462,7 @@ def eig_normal(m: CMatrix, kind: str, tol: TolPolicy = DEFAULT_TOL) -> list[tupl
         raise ValueError("eig_normal expects a square matrix")
     if n == 0:
         return []
-    gate = max(STRUCT_GATE, tol.abs_floor)
+    gate = max(STRUCT_GATE, _policy().abs_floor)
     if kind == "hermitian":
         if not is_hermitian(m, gate):
             raise KindMismatch("matrix is not Hermitian within tolerance")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import FixedPointObstruction, NumericalFailure
-from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
+from .numkernel import CMatrix, Subspace
 
 
 class _InfinityPoint:
@@ -142,16 +142,16 @@ def _read_only(value):
     return value
 
 
-def _memoized(op: PartialOperator, what: str, point, tol: TolPolicy, build):
-    """``build()``, run once per (what, point, tol) and kept on ``op`` with its
-    arrays read-only; a build that raises stores nothing."""
-    key = (what, point if point is INFINITY else complex(point), tol)
+def _memoized(op: PartialOperator, what: str, point, build):
+    """``build()``, run once per (what, point, policy in force) and kept on
+    ``op`` with its arrays read-only; a build that raises stores nothing."""
+    key = (what, point if point is INFINITY else complex(point), nk._policy())
     if key not in op._memo:
         op._memo[key] = _read_only(build())
     return op._memo[key]
 
 
-def defect_subspaces(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) -> DefectPair:
+def defect_subspaces(op: PartialOperator, point) -> DefectPair:
     """Defect pair of an isometric or symmetric operator at a point.
 
     Isometric V: the range of (E - zeta V) on the domain, and its complement;
@@ -165,12 +165,11 @@ def defect_subspaces(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) -
         raise ValueError("infinity defect is defined for isometric operators only")
     else:
         raw = a - complex(point) * d
-    m_space = nk.orthonormalize(raw, tol)
+    m_space = nk.orthonormalize(raw)
     return DefectPair(m_space, nk.orthogonal_complement(m_space))
 
 
-def parameter_frames(op: PartialOperator, anchor,
-                     tol: TolPolicy = DEFAULT_TOL) -> tuple[DefectPair, DefectPair]:
+def parameter_frames(op: PartialOperator, anchor) -> tuple[DefectPair, DefectPair]:
     """Defect pairs at an anchor and at its partner point, between whose
     complements the parameters anchored there act.
 
@@ -182,11 +181,11 @@ def parameter_frames(op: PartialOperator, anchor,
             partner = INFINITY if anchor == 0 else 1.0 / np.conj(anchor)
         else:
             partner = np.conj(anchor)
-        return defect_subspaces(op, anchor, tol), defect_subspaces(op, partner, tol)
-    return _memoized(op, "frames", anchor, tol, build)
+        return defect_subspaces(op, anchor), defect_subspaces(op, partner)
+    return _memoized(op, "frames", anchor, build)
 
 
-def _transport(raw_dom: CMatrix, raw_ran: CMatrix, tol: TolPolicy) -> tuple[Subspace, CMatrix]:
+def _transport(raw_dom: CMatrix, raw_ran: CMatrix) -> tuple[Subspace, CMatrix]:
     """Orthonormalize a raw domain frame and re-express the images accordingly.
 
     Requires ``raw_dom`` to have full column rank: the map raw_dom x -> raw_ran x
@@ -194,14 +193,14 @@ def _transport(raw_dom: CMatrix, raw_ran: CMatrix, tol: TolPolicy) -> tuple[Subs
     """
     if raw_dom.shape[1] == 0:
         return Subspace(raw_dom), raw_ran
-    q = nk.orthonormalize(raw_dom, tol)
+    q = nk.orthonormalize(raw_dom)
     if q.dim != raw_dom.shape[1]:
         raise NumericalFailure("raw domain frame is rank deficient")
     coeff = q.basis.conj().T @ raw_dom
-    return q, raw_ran @ nk.inv(coeff, tol)
+    return q, raw_ran @ nk.inv(coeff)
 
 
-def moebius_transform(v: IsometryOp, z: complex, tol: TolPolicy = DEFAULT_TOL) -> IsometryOp:
+def moebius_transform(v: IsometryOp, z: complex) -> IsometryOp:
     """Fractional transform of an isometry at a disk point.
 
     Sends V to the isometry with domain (E - z V) D(V) that maps (E - z V) f
@@ -211,13 +210,12 @@ def moebius_transform(v: IsometryOp, z: complex, tol: TolPolicy = DEFAULT_TOL) -
         raise ValueError("transform point must lie in the open unit disk")
     def build():
         d, r = v.dom.basis, v.ran_basis
-        q, images = _transport(d - z * r, r - np.conj(z) * d, tol)
+        q, images = _transport(d - z * r, r - np.conj(z) * d)
         return IsometryOp(q, nk.symmetric_orthogonalize(images))
-    return _memoized(v, "moebius", z, tol, build)
+    return _memoized(v, "moebius", z, build)
 
 
-def cayley_transform(op: PartialOperator, z: complex,
-                     tol: TolPolicy = DEFAULT_TOL) -> PartialOperator:
+def cayley_transform(op: PartialOperator, z: complex) -> PartialOperator:
     """Cayley transform between symmetric operators and isometries without fixed vectors.
 
     A symmetric A maps to the isometry sending (A - z E) f to (A - conj(z) E) f.
@@ -228,19 +226,19 @@ def cayley_transform(op: PartialOperator, z: complex,
     if isinstance(op, SymmetricOp):
         def build():
             d, a = op.dom.basis, op.action
-            q, images = _transport(a - z * d, a - np.conj(z) * d, tol)
+            q, images = _transport(a - z * d, a - np.conj(z) * d)
             return IsometryOp(q, nk.symmetric_orthogonalize(images))
-        return _memoized(op, "cayley", z, tol, build)
+        return _memoized(op, "cayley", z, build)
     if not isinstance(op, IsometryOp):
         raise TypeError("the Cayley transform expects a symmetric operator or an isometry")
-    if not is_regular_type(op, 1.0, tol)[0]:
+    if not is_regular_type(op, 1.0)[0]:
         raise FixedPointObstruction("isometry fixes a non-zero vector; no symmetric inverse")
     d, r = op.dom.basis, op.ran_basis
-    q, images = _transport(r - d, z * r - np.conj(z) * d, tol)
+    q, images = _transport(r - d, z * r - np.conj(z) * d)
     return SymmetricOp(q, images)
 
 
-def is_regular_type(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) -> tuple[bool, float]:
+def is_regular_type(op: PartialOperator, point) -> tuple[bool, float]:
     """Whether (op - point E) is bounded below on the domain, with the bound.
 
     The bound is the smallest singular value of the restriction; an empty
@@ -250,7 +248,7 @@ def is_regular_type(op: PartialOperator, point, tol: TolPolicy = DEFAULT_TOL) ->
         return True, np.inf
     mat = op.action - complex(point) * op.dom.basis
     s = np.linalg.svd(mat, compute_uv=False)
-    return bool(s[-1] > tol.threshold(s[0], op.ambient_dim)), float(s[-1])
+    return bool(s[-1] > nk._policy().threshold(s[0], op.ambient_dim)), float(s[-1])
 
 
 def _direct_sum(v: IsometryOp, c: CMatrix, src: Subspace, dst: Subspace) -> CMatrix:
@@ -259,8 +257,7 @@ def _direct_sum(v: IsometryOp, c: CMatrix, src: Subspace, dst: Subspace) -> CMat
     return v.ambient_partial() + dst.basis @ c @ src.basis.conj().T
 
 
-def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
-                         tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex) -> CMatrix:
     """Everywhere-defined contraction extending V, parametrized at an anchor z0.
 
     ``c`` is the coordinate matrix of a contraction from the defect space at
@@ -272,21 +269,21 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
         raise ValueError("anchor must lie in the open unit disk")
     c = nk.as_cmatrix(c)
     n = v.ambient_dim
-    src, dst = (pair.n_space for pair in parameter_frames(v, z0, tol))
+    src, dst = (pair.n_space for pair in parameter_frames(v, z0))
     if c.shape != (dst.dim, src.dim):
         raise ValueError(f"parameter shape {c.shape} does not match defects ({dst.dim}, {src.dim})")
     nk.check_contraction(c, "parameter norm")
-    vz = v if z0 == 0 else moebius_transform(v, z0, tol)
+    vz = v if z0 == 0 else moebius_transform(v, z0)
     plus = _direct_sum(vz, c, src, dst)
     if z0 == 0:
         nk.check_contraction(plus, "extension norm")
         return plus
     eye = np.eye(n)
-    inv_plus = nk.inv(eye + z0 * plus, tol)
+    inv_plus = nk.inv(eye + z0 * plus)
     v_c = (plus + np.conj(z0) * eye) @ inv_plus
     # pull-back identities tying the direct sum to the extension
     res1 = nk.op_norm(v_c - (eye / z0 + (abs(z0) ** 2 - 1) / z0 * inv_plus))
-    res2 = nk.op_norm(plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c, tol)))
+    res2 = nk.op_norm(plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c)))
     norm = nk.op_norm(v_c)
     if max(res1, res2) > 1e-10 * max(1.0, norm):
         raise NumericalFailure(f"extension identities violated (residual {max(res1, res2):.3e})")
@@ -294,7 +291,7 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex,
     return v_c
 
 
-def classify_signs(op: PartialOperator, tol: TolPolicy = DEFAULT_TOL) -> str:
+def classify_signs(op: PartialOperator) -> str:
     """Sign classification of the quadratic form Im (B h, h) over the domain.
 
     Returns 'symmetric' when the form vanishes, 'dissipative'/'accumulative'
@@ -305,7 +302,7 @@ def classify_signs(op: PartialOperator, tol: TolPolicy = DEFAULT_TOL) -> str:
     gram = op.dom.basis.conj().T @ op.action
     imag_part = (gram - gram.conj().T) / 2.0j
     w = np.linalg.eigvalsh((imag_part + imag_part.conj().T) / 2.0)
-    gate = max(tol.abs_floor, 1e-12 * max(1.0, nk.op_norm(gram)))
+    gate = max(nk._policy().abs_floor, 1e-12 * max(1.0, nk.op_norm(gram)))
     if np.all(np.abs(w) <= gate):
         return "symmetric"
     if np.all(w >= -gate):

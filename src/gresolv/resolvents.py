@@ -20,7 +20,7 @@ from .errors import NotContraction, NumericalFailure, PointExcluded, Singular, S
 from .extensions import (ExitSpaceModel, PartialMap, BlockParam,
                          compressed_extension, forbidden_operator, is_admissible,
                          neumann_extension, neumann_parameter)
-from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
+from .numkernel import CMatrix, Subspace
 from .operators import (IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
                         defect_subspaces, orthogonal_extension, parameter_frames,
                         require_nonreal)
@@ -159,24 +159,22 @@ class ResolventModel:
         return self._at(points)
 
     @classmethod
-    def from_direct_sum(cls, v: IsometryOp, param: ContractionParam,
-                        tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
+    def from_direct_sum(cls, v: IsometryOp, param: ContractionParam) -> "ResolventModel":
         def ev(point, boundary_ok):
-            return direct_sum_resolvent(v, param, point, tol, boundary_ok)
+            return direct_sum_resolvent(v, param, point, boundary_ok)
         return cls(v, ev)
 
     @classmethod
     def from_extension_family(cls, a: SymmetricOp, param: ContractionParam,
-                              anchor: complex,
-                              tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
+                              anchor: complex) -> "ResolventModel":
         def ev(point, boundary_ok):
-            return extension_resolvent(a, param, anchor, point, tol, boundary_ok)
+            return extension_resolvent(a, param, anchor, point, boundary_ok)
         return cls(a, ev)
 
     @classmethod
-    def from_dilation(cls, model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) -> "ResolventModel":
+    def from_dilation(cls, model: ExitSpaceModel) -> "ResolventModel":
         def ev(point, boundary_ok):
-            return dilation_resolvent(model, point, tol)
+            return dilation_resolvent(model, point)
 
         def at(points):
             # one stacked inverse for the set: each member bitwise that of
@@ -186,7 +184,7 @@ class ResolventModel:
             for member, point in zip(systems, points):
                 member[...] = _dilation_system(model, point, eye)
             try:
-                inverses = nk.inv(systems, tol)
+                inverses = nk.inv(systems)
             except Singular:
                 # the pointwise loop names the first singular point
                 return [ev(p, False) for p in points]
@@ -195,24 +193,24 @@ class ResolventModel:
         return cls(model.embeds, ev, at)
 
 
-def _solve_at(point: complex, m: CMatrix, b: CMatrix, tol: TolPolicy) -> CMatrix:
+def _solve_at(point: complex, m: CMatrix, b: CMatrix) -> CMatrix:
     """``nk.solve`` for a system set up at a point; a singular system is
     reported as ``SingularSystem`` at that point."""
     try:
-        return nk.solve(m, b, tol)
+        return nk.solve(m, b)
     except Singular as exc:
         raise SingularSystem(point, exc.smallest_sv) from exc
 
 
-def _inv_at(point: complex, m: CMatrix, tol: TolPolicy) -> CMatrix:
+def _inv_at(point: complex, m: CMatrix) -> CMatrix:
     """``nk.inv`` for a matrix set up at a point, with the errors of ``_solve_at``."""
     try:
-        return nk.inv(m, tol)
+        return nk.inv(m)
     except Singular as exc:
         raise SingularSystem(point, exc.smallest_sv) from exc
 
 
-def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool, tol: TolPolicy,
+def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool,
                     matrix_at: Callable[[complex], CMatrix]) -> CMatrix:
     """Resolvent value [E - zeta T(zeta)]^{-1} of a disk family of operators.
 
@@ -226,36 +224,34 @@ def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool, tol: TolPolicy,
     if zeta == 0:
         return np.eye(n, dtype=np.complex128)
     if abs(zeta) > 1.0:
-        inner = _disk_resolvent(n, 1.0 / np.conj(zeta), boundary_ok, tol, matrix_at)
+        inner = _disk_resolvent(n, 1.0 / np.conj(zeta), boundary_ok, matrix_at)
         return np.eye(n) - inner.conj().T
-    return _inv_at(zeta, np.eye(n) - zeta * matrix_at(zeta), tol)
+    return _inv_at(zeta, np.eye(n) - zeta * matrix_at(zeta))
 
 
 def direct_sum_resolvent(v: IsometryOp, param: ContractionParam, zeta: complex,
-                         tol: TolPolicy = DEFAULT_TOL,
                          boundary_ok: bool = False) -> CMatrix:
     """Resolvent value [E - zeta (V + F(zeta))]^{-1} of the direct-sum family."""
     def matrix_at(point: complex) -> CMatrix:
         return _direct_sum(v, param(point), param.src, param.dst)
-    return _disk_resolvent(v.ambient_dim, zeta, boundary_ok, tol, matrix_at)
+    return _disk_resolvent(v.ambient_dim, zeta, boundary_ok, matrix_at)
 
 
 def anchored_resolvent(v: IsometryOp, param: ContractionParam, z0: complex,
-                       zeta: complex, tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+                       zeta: complex) -> CMatrix:
     """Resolvent value [E - zeta V_C]^{-1} with the orthogonal extension built
     from the parameter value at zeta and the anchor z0.
 
     Coincides with ``direct_sum_resolvent`` when z0 = 0.
     """
-    param = param.in_frames(*(pair.n_space for pair in parameter_frames(v, z0, tol)))
+    param = param.in_frames(*(pair.n_space for pair in parameter_frames(v, z0)))
 
     def matrix_at(point: complex) -> CMatrix:
-        return orthogonal_extension(v, param(point), z0, tol)
-    return _disk_resolvent(v.ambient_dim, zeta, False, tol, matrix_at)
+        return orthogonal_extension(v, param(point), z0)
+    return _disk_resolvent(v.ambient_dim, zeta, False, matrix_at)
 
 
-def dilation_resolvent(model: ExitSpaceModel, point: complex,
-                       tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def dilation_resolvent(model: ExitSpaceModel, point: complex) -> CMatrix:
     """Upper-left block of the resolvent of the big operator.
 
     This is the independent oracle for every formula evaluator.  Unimodular
@@ -267,7 +263,7 @@ def dilation_resolvent(model: ExitSpaceModel, point: complex,
     # the first n columns of the inverse are bitwise those of solving for the
     # first n columns of E; the copy owns no larger buffer
     system = _dilation_system(model, point, np.eye(model.total_dim, dtype=np.complex128))
-    return _inv_at(point, system, tol)[:n, :n].copy()
+    return _inv_at(point, system)[:n, :n].copy()
 
 
 def _dilation_system(model: ExitSpaceModel, point: complex, eye: CMatrix) -> CMatrix:
@@ -276,8 +272,7 @@ def _dilation_system(model: ExitSpaceModel, point: complex, eye: CMatrix) -> CMa
         else model.big_op - point * eye
 
 
-def recover_parameter(r: ResolventModel, zeta: complex,
-                      tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def recover_parameter(r: ResolventModel, zeta: complex) -> CMatrix:
     """Defect-to-defect block of (1/zeta)(E - R(zeta)^{-1}).
 
     Recovers the value of the direct-sum parameter at an interior point from
@@ -286,25 +281,24 @@ def recover_parameter(r: ResolventModel, zeta: complex,
     """
     if not isinstance(r.operator, IsometryOp):
         raise TypeError("parameter recovery applies to isometric-side models")
-    return recover_anchored_parameter(r, 0.0, zeta, tol)
+    return recover_anchored_parameter(r, 0.0, zeta)
 
 
-def recovered_parameter_family(r: ResolventModel, tol: TolPolicy = DEFAULT_TOL) -> ContractionParam:
+def recovered_parameter_family(r: ResolventModel) -> ContractionParam:
     """The recovered parameter as an evaluable family (limit taken at 0)."""
     v = r.operator
-    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
+    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0))
 
     def fn(zeta: complex) -> CMatrix:
         if zeta == 0:
             h = 1e-5
-            return 2.0 * recover_parameter(r, h, tol) - recover_parameter(r, 2 * h, tol)
-        return recover_parameter(r, zeta, tol)
+            return 2.0 * recover_parameter(r, h) - recover_parameter(r, 2 * h)
+        return recover_parameter(r, zeta)
 
     return ContractionParam.callback(n0, ninf, fn)
 
 
-def recover_anchored_parameter(r: ResolventModel, z0: complex, zeta: complex,
-                               tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def recover_anchored_parameter(r: ResolventModel, z0: complex, zeta: complex) -> CMatrix:
     """Anchor-z0 parameter value recovered from a generalized resolvent.
 
     Inverts the orthogonal-extension correspondence: the full operator
@@ -315,12 +309,12 @@ def recover_anchored_parameter(r: ResolventModel, z0: complex, zeta: complex,
     if zeta == 0 or abs(zeta) >= 1:
         raise PointExcluded("recovery needs an interior point distinct from 0")
     n = r.ambient_dim
-    src, dst = (pair.n_space for pair in parameter_frames(r.operator, z0, tol))
-    t_full = (np.eye(n) - _inv_at(zeta, r(zeta), tol)) / zeta
+    src, dst = (pair.n_space for pair in parameter_frames(r.operator, z0))
+    t_full = (np.eye(n) - _inv_at(zeta, r(zeta))) / zeta
     if z0 == 0:
         plus = t_full
     else:
-        plus = -np.eye(n) / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(np.eye(n) - z0 * t_full, tol)
+        plus = -np.eye(n) / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(np.eye(n) - z0 * t_full)
     return dst.basis.conj().T @ plus @ src.basis
 
 
@@ -453,8 +447,7 @@ def _transfer_at(r_in: ResolventModel, z: complex, points: list) -> list:
     return out
 
 
-def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex,
-                        lam: complex, tol: TolPolicy = DEFAULT_TOL,
+def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex, lam: complex,
                         boundary_ok: bool = False, validate: bool = True) -> CMatrix:
     """Resolvent value (A_{F(lam)} - lam E)^{-1} of the extension family.
 
@@ -474,23 +467,22 @@ def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex
         value, z = param(np.conj(lam)).conj().T, np.conj(anchor)
         src, dst = param.dst, param.src
     tmap = PartialMap.from_coords(src, dst, value)
-    ext, _ = neumann_extension(a, z, tmap, tol, validate=validate)
+    ext, _ = neumann_extension(a, z, tmap, validate=validate)
     if not ext.is_everywhere_defined:
         raise NumericalFailure("full-defect parameter produced a partial extension")
-    return _inv_at(lam, ext.full_matrix() - lam * np.eye(n), tol)
+    return _inv_at(lam, ext.full_matrix() - lam * np.eye(n))
 
 
-def generating_extension(r: ResolventModel, lam: complex,
-                         tol: TolPolicy = DEFAULT_TOL) -> PartialOperator:
+def generating_extension(r: ResolventModel, lam: complex) -> PartialOperator:
     """The extension family value R(lam)^{-1} + lam E as an operator record."""
     lam = complex(lam)
     n = r.ambient_dim
-    mat = _inv_at(lam, r(lam), tol) + lam * np.eye(n)
+    mat = _inv_at(lam, r(lam)) + lam * np.eye(n)
     return PartialOperator(Subspace.full(n), mat)
 
 
 def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: complex,
-                 tol: TolPolicy = DEFAULT_TOL, validate: bool = True) -> CMatrix:
+                 validate: bool = True) -> CMatrix:
     """Defect-block Cayley transform of the extension family at the anchor.
 
     Returns the coordinates of the contraction from the defect space at the
@@ -505,8 +497,8 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
     # Cayley block computed without forming the extension family explicitly:
     # stays well conditioned even far out on the ray
     core = np.eye(n) + (lam - anchor) * r_val
-    cayley = np.eye(n) + (anchor - np.conj(anchor)) * _solve_at(lam, core, r_val, tol)
-    src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
+    cayley = np.eye(n) + (anchor - np.conj(anchor)) * _solve_at(lam, core, r_val)
+    src, dst = (pair.n_space for pair in parameter_frames(a, anchor))
     image = cayley @ src.basis
     coords = dst.basis.conj().T @ image
     # the gates decide by Frobenius bounds first; the exact norms are taken
@@ -522,24 +514,22 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
         raise NotContraction(f"defect block has norm {nk.op_norm(coords):.6f}")
     if validate:
         tmap = PartialMap.from_coords(src, dst, coords)
-        ext, _ = neumann_extension(a, anchor, tmap, tol, validate=False)
+        ext, _ = neumann_extension(a, anchor, tmap, validate=False)
         res = (ext.full_matrix() - lam * np.eye(n)) @ r_val - np.eye(n)
         if not nk._norm_within(res, 1e-9, ext.full_matrix() @ r_val):
             raise NumericalFailure(f"reassembled extension differs ({nk.op_norm(res):.3e})")
     return coords
 
 
-def defect_block_family(r: ResolventModel, a: SymmetricOp, anchor: complex,
-                        tol: TolPolicy = DEFAULT_TOL) -> ContractionParam:
+def defect_block_family(r: ResolventModel, a: SymmetricOp, anchor: complex) -> ContractionParam:
     """The defect-block family of a resolvent model as an evaluable parameter."""
-    src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
+    src, dst = (pair.n_space for pair in parameter_frames(a, anchor))
     return ContractionParam.callback(
-        src, dst, lambda lam: defect_block(r, a, anchor, lam, tol, validate=False),
+        src, dst, lambda lam: defect_block(r, a, anchor, lam, validate=False),
         anchor=anchor)
 
 
-def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
-                            tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex) -> CMatrix:
     """The contraction-valued function encoding a symmetric operator.
 
     Computed through the skew projection onto the defect space at the anchor
@@ -552,7 +542,7 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
     if lam != z and not same_halfplane(lam, z):
         raise PointExcluded("evaluation point must share the anchor half-plane")
     n = a.ambient_dim
-    nz, nzbar = (pair.n_space for pair in parameter_frames(a, z, tol))
+    nz, nzbar = (pair.n_space for pair in parameter_frames(a, z))
     if nz.dim == 0 or nzbar.dim == 0:
         return np.zeros((nz.dim, nzbar.dim), dtype=np.complex128)
     # everywhere-defined extension sending f + psi to A f + conj(z) psi
@@ -560,9 +550,9 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
     raw_img = np.hstack([a.action, np.conj(z) * nz.basis])
     if raw_dom.shape[1] != n:
         raise NumericalFailure("domain and defect do not span the space")
-    a_ext = raw_img @ nk.inv(raw_dom, tol)
+    a_ext = raw_img @ nk.inv(raw_dom)
     eye = np.eye(n)
-    resolv = _inv_at(lam, a_ext - lam * eye, tol)
+    resolv = _inv_at(lam, a_ext - lam * eye)
     skew = ((lam - np.conj(z)) / (z - np.conj(z))) * (nk.projector(nz) @ (a_ext - z * eye) @ resolv)
     factor = (lam - z) / (lam - np.conj(z))
     coords = factor * (nz.basis.conj().T @ skew @ nzbar.basis)
@@ -571,7 +561,7 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
         raise NumericalFailure(
             f"characteristic value norm {nk.op_norm(coords):.6f} exceeds its bound {bound:.6f}")
     # membership of the images in the shifted range
-    mlam = defect_subspaces(a, lam, tol).m_space
+    mlam = defect_subspaces(a, lam).m_space
     probe = (lam - z) * nzbar.basis - (lam - np.conj(z)) * (nz.basis @ coords)
     res = nk.op_norm(probe - nk.projector(mlam) @ probe)
     if res > 1e-9 * max(1.0, nk.op_norm(probe)):
@@ -579,19 +569,18 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex,
     return coords
 
 
-def defect_block_via_characteristic(block: BlockParam, exit_op: SymmetricOp,
-                                    anchor: complex, lam: complex,
-                                    tol: TolPolicy = DEFAULT_TOL) -> CMatrix:
+def defect_block_via_characteristic(block: BlockParam, exit_op: SymmetricOp, anchor: complex,
+                                    lam: complex) -> CMatrix:
     """Defect-block family computed from the exit-space characteristic function.
 
     Equals the block recovered from the dilation resolvent of the same model:
     t11 + t12 (E - C_e t22)^{-1} C_e t21 with C_e the characteristic function
     of the exit operator.
     """
-    c_e = characteristic_function(exit_op, anchor, lam, tol)
+    c_e = characteristic_function(exit_op, anchor, lam)
     m_src = c_e.shape[0]
     core = np.eye(m_src) - c_e @ block.t22
-    return block.t11 + block.t12 @ nk.solve(core, c_e @ block.t21, tol)
+    return block.t11 + block.t12 @ nk.solve(core, c_e @ block.t21)
 
 
 def membership_quantity(values: CMatrix, lam: complex) -> np.ndarray:
@@ -610,8 +599,8 @@ class BoundaryParameterReport:
     membership: np.ndarray  # (#ray, dim defect) domain-criterion quantities
 
 
-def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel, anchor: complex,
-                       tol: TolPolicy = DEFAULT_TOL) -> BoundaryParameterReport:
+def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel,
+                       anchor: complex) -> BoundaryParameterReport:
     """Boundary parameter of the compressed big operator and its sectorial limits.
 
     The direct route reads the parameter off the compression of the model; the
@@ -621,20 +610,20 @@ def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel, anchor: complex,
     """
     if model.kind != "hermitian":
         raise ValueError("boundary parameters are defined for hermitian models")
-    compressed = compressed_extension(model, tol)
-    direct = neumann_parameter(compressed, a, anchor, tol)
+    compressed = compressed_extension(model)
+    direct = neumann_parameter(compressed, a, anchor)
     if not direct.is_isometric():
         raise NumericalFailure("compressed operator parameter is not isometric")
-    if not is_admissible(a, anchor, direct, tol):
+    if not is_admissible(a, anchor, direct):
         raise NumericalFailure("compressed operator parameter is not admissible")
-    src, dst = (pair.n_space for pair in parameter_frames(a, anchor, tol))
+    src, dst = (pair.n_space for pair in parameter_frames(a, anchor))
     direct_coords = dst.basis.conj().T @ direct.ambient() @ src.basis
-    r = ResolventModel.from_dilation(model, tol)
+    r = ResolventModel.from_dilation(model)
     points = _imaginary_ray(anchor)
     errors = np.zeros((len(points), src.dim))
     member = np.zeros((len(points), src.dim))
     for i, lam in enumerate(points):
-        fk = defect_block(r, a, anchor, lam, tol, validate=False)
+        fk = defect_block(r, a, anchor, lam, validate=False)
         errors[i] = np.linalg.norm(fk - direct_coords, axis=0)
         member[i] = membership_quantity(fk, lam)
     return BoundaryParameterReport(direct, points, errors, member)
@@ -652,8 +641,8 @@ class ClassVerdict:
         return self.admissible
 
 
-def admissible_class_check(param: ContractionParam, a: SymmetricOp, anchor: complex,
-                           tol: TolPolicy = DEFAULT_TOL) -> ClassVerdict:
+def admissible_class_check(param: ContractionParam, a: SymmetricOp,
+                           anchor: complex) -> ClassVerdict:
     """Whether a parameter family stays clear of the forbidden operator at infinity.
 
     A family fails when some non-zero defect vector is carried to its forbidden
@@ -662,16 +651,16 @@ def admissible_class_check(param: ContractionParam, a: SymmetricOp, anchor: comp
     callbacks are sampled along the imaginary ray of the anchor's half-plane
     and flagged approximate.
     """
-    x = forbidden_operator(a, anchor, tol)
+    x = forbidden_operator(a, anchor)
     if x.dim == 0:
         return ClassVerdict(True, True, "dense domain, every family is admissible")
     limit = param.boundary_limit()
     if limit is not None:
         limit_map = PartialMap.from_coords(param.src, param.dst, limit)
-        common = nk.intersect(param.src, x.src, tol)
+        common = nk.intersect(param.src, x.src)
         if common.dim == 0:
             return ClassVerdict(True, True, "no overlap with the forbidden domain")
-        ok, sigma = nk.injective((limit_map.ambient() - x.ambient()) @ common.basis, tol)
+        ok, sigma = nk.injective((limit_map.ambient() - x.ambient()) @ common.basis)
         return ClassVerdict(ok, True, f"limit separation {sigma:.3e}")
 
     # sampled verdict for callbacks: locate the best candidate for a violating
@@ -680,7 +669,7 @@ def admissible_class_check(param: ContractionParam, a: SymmetricOp, anchor: comp
     far = points[-1]
     value = param(far)
     vmap = PartialMap.from_coords(param.src, param.dst, value)
-    common = nk.intersect(param.src, x.src, tol)
+    common = nk.intersect(param.src, x.src)
     if common.dim == 0:
         return ClassVerdict(True, False, "no overlap with the forbidden domain")
     diff = (vmap.ambient() - x.ambient()) @ common.basis

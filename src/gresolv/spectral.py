@@ -17,7 +17,7 @@ from . import numkernel as nk
 from .errors import (InternalDisagreement, NotRegularType, NumericalFailure,
                      PointExcluded, PreconditionViolated, SingularSystem)
 from .extensions import ExitSpaceModel, PartialMap, neumann_extension
-from .numkernel import CMatrix, DEFAULT_TOL, Subspace, TolPolicy
+from .numkernel import CMatrix, Subspace
 from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
                         defect_subspaces, is_regular_type, orthogonal_extension,
                         parameter_frames, require_nonreal)
@@ -95,11 +95,11 @@ class ArcSpec:
         return self.lo + step * (np.arange(count) + 0.5)
 
 
-def spectral_measure(model: ExitSpaceModel, tol: TolPolicy = DEFAULT_TOL) -> SpectralAtoms:
+def spectral_measure(model: ExitSpaceModel) -> SpectralAtoms:
     """Compress the eigenprojections of the big operator to the inner space."""
     n = model.inner_dim
     kind = "circle" if model.kind == "unitary" else "line"
-    pairs = nk.eig_normal(model.big_op, model.kind, tol)
+    pairs = nk.eig_normal(model.big_op, model.kind)
     atoms = []
     for lam, proj in pairs:
         loc = float(np.angle(lam) % (2 * np.pi)) if kind == "circle" else float(lam.real)
@@ -144,10 +144,9 @@ class _Side:
     anchor: complex
     src: DefectPair
     dst: DefectPair
-    tol: TolPolicy
 
     @classmethod
-    def of(cls, op: PartialOperator, anchor: complex, tol: TolPolicy) -> "_Side":
+    def of(cls, op: PartialOperator, anchor: complex) -> "_Side":
         if isinstance(op, IsometryOp):
             kind = "circle"
         elif isinstance(op, SymmetricOp):
@@ -155,7 +154,7 @@ class _Side:
             kind = "line"
         else:
             raise TypeError("gap reports need an isometric or symmetric operator")
-        return cls(kind, op, anchor, *parameter_frames(op, anchor, tol), tol)
+        return cls(kind, op, anchor, *parameter_frames(op, anchor))
 
     def point(self, x: float) -> complex:
         """Resolvent-side point whose obstruction sits at the atom location x."""
@@ -168,10 +167,10 @@ class _Side:
         if self.kind == "circle" and abs(abs(point) - 1.0) > 1e-12:
             raise PointExcluded("the comparison map is defined at unimodular points")
         reg = 1.0 / point if self.kind == "circle" else point
-        ok, bound = is_regular_type(self.op, reg, self.tol)
+        ok, bound = is_regular_type(self.op, reg)
         if not ok:
             raise NotRegularType(reg, bound)
-        return bound, defect_subspaces(self.op, point, self.tol)
+        return bound, defect_subspaces(self.op, point)
 
     def covering(self, point: complex, pair: DefectPair) -> float:
         """Margin by which the shifted range at the image of a probe point
@@ -180,7 +179,7 @@ class _Side:
         z0 = self.anchor
         image = point if self.kind == "line" or z0 == 0 else \
             (z0 + point) / (1.0 + point * np.conj(z0))
-        m_img = (pair if image == point else defect_subspaces(self.op, image, self.tol)).m_space
+        m_img = (pair if image == point else defect_subspaces(self.op, image)).m_space
         cov = self.dst.m_space.basis.conj().T @ m_img.basis
         return _margin(cov) if cov.shape[0] == cov.shape[1] else 0.0
 
@@ -214,30 +213,28 @@ def _anchored_gap_map(side: _Side, lam: complex, pair: DefectPair) -> PartialMap
     src, dst = side.src.n_space, side.dst.n_space
     s_mat = src.basis.conj().T @ pair.n_space.basis
     q_mat = dst.basis.conj().T @ pair.n_space.basis
-    coords = side.factor(lam) * (q_mat @ nk.inv(s_mat, side.tol))
+    coords = side.factor(lam) * (q_mat @ nk.inv(s_mat))
     result = PartialMap.from_coords(src, dst, coords)
     if result.dim and not result.is_isometric(nk.BUILT_GATE):
         raise NumericalFailure("comparison map lost its isometry")
     return result
 
 
-def comparison_map(v: IsometryOp, zeta: complex,
-                   tol: TolPolicy = DEFAULT_TOL) -> PartialMap:
+def comparison_map(v: IsometryOp, zeta: complex) -> PartialMap:
     """Comparison map between the domain-side and range-side defects at a
     unimodular point: the shadow of a zeta-defect vector in the domain
     complement is sent to 1/zeta times its shadow in the range complement."""
-    side, zeta = _Side.of(v, 0.0, tol), complex(zeta)
+    side, zeta = _Side.of(v, 0.0), complex(zeta)
     return _anchored_gap_map(side, zeta, side.checked_pair(zeta)[1])
 
 
-def comparison_map_symmetric(a: SymmetricOp, z: complex, lam: complex,
-                             tol: TolPolicy = DEFAULT_TOL) -> PartialMap:
+def comparison_map_symmetric(a: SymmetricOp, z: complex, lam: complex) -> PartialMap:
     """Symmetric-side comparison map between the defect spaces at the anchor.
 
     Sends the shadow of a real-point defect vector in the anchor defect space
     to (lam - conj(z))/(lam - z) times its shadow in the conjugate one.
     """
-    side, lam = _Side.of(a, z, tol), complex(lam)
+    side, lam = _Side.of(a, z), complex(lam)
     return _anchored_gap_map(side, lam, side.checked_pair(lam)[1])
 
 
@@ -250,8 +247,7 @@ class GapCriteria:
     detail: dict
 
 
-def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex,
-                 tol: TolPolicy = DEFAULT_TOL) -> GapCriteria:
+def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex) -> GapCriteria:
     """Kernel and surjectivity tests of the parameter against the comparison map.
 
     1/zeta is an eigenvalue of the direct sum exactly when the difference with
@@ -261,7 +257,7 @@ def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex,
     """
     zeta = complex(zeta)
     c = nk.as_cmatrix(c)
-    side = _Side.of(v, 0.0, tol)
+    side = _Side.of(v, 0.0)
     pair = side.checked_pair(zeta)[1]
     n0, ninf = side.src.n_space, side.dst.n_space
     if c.shape != (ninf.dim, n0.dim):
@@ -308,30 +304,29 @@ class GapReport:
     atoms_in_region: bool | None
 
 
-def in_space_atoms(op: PartialOperator, param: ContractionParam, anchor: complex,
-                   tol: TolPolicy = DEFAULT_TOL) -> SpectralAtoms | None:
+def in_space_atoms(op: PartialOperator, param: ContractionParam,
+                   anchor: complex) -> SpectralAtoms | None:
     """Atoms of the extension that a constant unitary parameter defines inside
     the space; None for other parameters and for non-self-adjoint extensions."""
     if param.kind != "constant":
         return None
-    side = _Side.of(op, complex(anchor), tol)
+    side = _Side.of(op, complex(anchor))
     src, dst = side.src.n_space, side.dst.n_space
     value = param.in_frames(src, dst).form[1]
     if not nk.is_unitary(value, nk.STRUCT_GATE):
         return None
     if side.kind == "circle":
-        big = orthogonal_extension(op, value, side.anchor, tol)
+        big = orthogonal_extension(op, value, side.anchor)
     else:
-        ext, cls = neumann_extension(op, side.anchor, PartialMap.from_coords(src, dst, value), tol)
+        ext, cls = neumann_extension(op, side.anchor, PartialMap.from_coords(src, dst, value))
         if not cls.self_adjoint:
             return None
         big = ext.full_matrix()
-    return spectral_measure(ExitSpaceModel(big, op), tol)
+    return spectral_measure(ExitSpaceModel(big, op))
 
 
 def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
-               region: ArcSpec, grid_size: int = 64,
-               tol: TolPolicy = DEFAULT_TOL) -> GapReport:
+               region: ArcSpec, grid_size: int = 64) -> GapReport:
     """Decide whether the parameter's spectral measure vanishes on a region.
 
     Per grid point the continued parameter is checked for unitarity and for an
@@ -340,7 +335,7 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
     atoms.  For constant unitary parameters the in-space extension provides the
     atom-side ground truth and the verdicts are cross-checked.
     """
-    side = _Side.of(op, complex(anchor), tol)
+    side = _Side.of(op, complex(anchor))
     param = param.in_frames(side.src.n_space, side.dst.n_space)
     if region.kind != side.kind:
         raise ValueError(f"gap regions of this operator are {side.kind} regions")
@@ -367,14 +362,14 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
         return side.margin(point, param(point), side.checked_pair(point)[1])
 
     _require_regular_region(op, region, grid,
-                            np.array([r.regular_bound for r in records]), tol)
+                            np.array([r.regular_bound for r in records]))
     refined, _ = _refine_minima(gfun, grid, np.array([r.margin for r in records]),
                                 region.lo, region.hi)
     unit_ok = all(r.unitarity_defect <= GAP_GATE for r in records)
     cont_ok = all(r.continuation_jump <= 1e-4 for r in records)
     analytic = bool(refined > GAP_GATE and unit_ok and cont_ok)
 
-    atoms = in_space_atoms(op, param, anchor, tol)
+    atoms = in_space_atoms(op, param, anchor)
     atoms_inside = None
     if atoms is not None:
         atoms_inside = any(region.contains(loc) for loc, _ in atoms.atoms)
@@ -447,7 +442,7 @@ def _refine_minima(gfun, grid: np.ndarray, values: np.ndarray,
 
 
 def _require_regular_region(op: PartialOperator, region: ArcSpec, grid: np.ndarray,
-                            bounds: np.ndarray, tol: TolPolicy) -> None:
+                            bounds: np.ndarray) -> None:
     """Certify the regular-type hypothesis on the whole region, not just the grid.
 
     Points of the operator's own approximate point spectrum inside the region
@@ -459,10 +454,10 @@ def _require_regular_region(op: PartialOperator, region: ArcSpec, grid: np.ndarr
 
     def rfun(x: float) -> float:
         point = np.exp(1j * x) if region.kind == "circle" else complex(x)
-        return is_regular_type(op, point, tol)[1]
+        return is_regular_type(op, point)[1]
 
     refined, at = _refine_minima(rfun, grid, bounds, region.lo, region.hi)
-    if refined <= tol.threshold(2.0, op.ambient_dim):
+    if refined <= nk._policy().threshold(2.0, op.ambient_dim):
         point = np.exp(1j * at) if region.kind == "circle" else complex(at)
         raise NotRegularType(point, refined)
 
@@ -474,19 +469,18 @@ class DecompositionCheck:
     detail: dict
 
 
-def decomposition_check(v: IsometryOp, zeta: complex,
-                        tol: TolPolicy = DEFAULT_TOL) -> DecompositionCheck:
+def decomposition_check(v: IsometryOp, zeta: complex) -> DecompositionCheck:
     """Whether domain + defect and range + defect both span the whole space."""
     zeta = complex(zeta)
-    ok, bound = is_regular_type(v, 1.0 / zeta, tol)
+    ok, bound = is_regular_type(v, 1.0 / zeta)
     if not ok:
         raise NotRegularType(1.0 / zeta, bound)
     n = v.ambient_dim
-    n_zeta = defect_subspaces(v, zeta, tol).n_space
+    n_zeta = defect_subspaces(v, zeta).n_space
     results = {}
     for name, frame in (("dom", v.dom.basis), ("ran", v.ran_basis)):
         stacked = np.hstack([frame, n_zeta.basis])
-        results[name] = nk.injective(stacked, tol) if stacked.shape[1] == n else (False, 0.0)
+        results[name] = nk.injective(stacked) if stacked.shape[1] == n else (False, 0.0)
     return DecompositionCheck(results["dom"][0], results["ran"][0],
                               {"dom_margin": results["dom"][1],
                                "ran_margin": results["ran"][1]})
@@ -501,8 +495,7 @@ class EigenvectorData:
     shadow_residual_param: float
 
 
-def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex,
-                           tol: TolPolicy = DEFAULT_TOL) -> EigenvectorData | None:
+def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex) -> EigenvectorData | None:
     """Eigenvector of the direct sum at 1/zeta with its shadow identities.
 
     Returns None when 1/zeta is not an eigenvalue.  Otherwise the eigenvector
@@ -513,7 +506,7 @@ def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex,
     zeta = complex(zeta)
     c = nk.as_cmatrix(c)
     n = v.ambient_dim
-    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0, tol))
+    n0, ninf = (pair.n_space for pair in parameter_frames(v, 0.0))
     full = _direct_sum(v, c, n0, ninf)
     target = 1.0 / zeta
     system = full - target * np.eye(n)
@@ -522,7 +515,7 @@ def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex,
         return None
     vec = vh.conj().T[:, -1]
     del u
-    pair = defect_subspaces(v, zeta, tol)
+    pair = defect_subspaces(v, zeta)
     defect_res = float(np.linalg.norm(nk.projector(pair.m_space) @ vec))
     p_m0 = nk.projector(v.dom)
     p_minf = nk.projector(Subspace(v.ran_basis))

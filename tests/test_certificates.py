@@ -45,8 +45,8 @@ def _outcome(fn, *args):
     return value.shape, value.tobytes()
 
 
-def _svd_route(m, tol):
-    return nk.solve(m, np.eye(m.shape[0], dtype=np.complex128), tol)
+def _svd_route(m):
+    return nk.solve(m, np.eye(m.shape[0], dtype=np.complex128))
 
 
 def _with_singular_values(s, rng):
@@ -74,7 +74,8 @@ def test_inv_matches_the_svd_route_around_the_threshold(policy, n, seed, log_rat
     s = np.sort(np.exp(rng.uniform(np.log(sigma_min), np.log(sigma_max), n)))[::-1]
     s[0], s[-1] = sigma_max, sigma_min
     m = _with_singular_values(s, rng)
-    assert _outcome(nk.inv, m, tol) == _outcome(_svd_route, m, tol)
+    with nk.tolerance(tol):
+        assert _outcome(nk.inv, m) == _outcome(_svd_route, m)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -89,10 +90,11 @@ def test_inv_matches_the_svd_route_on_degenerate_input(policy):
         m = _random_complex(rng, (3, 3))
         m[1, 2] = bad
         cases.append(m)
-    for m in cases:
-        assert _outcome(nk.inv, m, tol) == _outcome(_svd_route, m, tol)
-    with pytest.raises(ValueError, match="finite"):
-        nk.inv(cases[-1], tol)
+    with nk.tolerance(tol):
+        for m in cases:
+            assert _outcome(nk.inv, m) == _outcome(_svd_route, m)
+        with pytest.raises(ValueError, match="finite"):
+            nk.inv(cases[-1])
 
 
 @pytest.mark.parametrize("n", range(1, 25))

@@ -198,9 +198,9 @@ def test_cli_tolerance_reaches_every_defect_computation(tmp_path, monkeypatch):
     seen = []
     real = g.operators.defect_subspaces
 
-    def spy(op, point, tol=g.DEFAULT_TOL):
-        seen.append(tol)
-        return real(op, point, tol)
+    def spy(op, point):
+        seen.append(g.numkernel._policy())
+        return real(op, point)
 
     for module in (g.operators, g.extensions, g.resolvents, g.spectral, cli):
         if hasattr(module, "defect_subspaces"):
@@ -257,6 +257,16 @@ MALFORMED = {
     "domain_dim=9": lambda obj: {**obj, "domain_dim": 9},
     "exit.dim=-1": lambda obj: {**obj, "exit": {**obj["exit"], "dim": -1}},
     "exit.dim=5": lambda obj: {**obj, "exit": {**obj["exit"], "dim": 5}},
+    # integer fields that are not JSON integers, though int() of each gives
+    # the value the arrays of the n = 3, d = 1, m = 1 file need
+    'ambient_dim="3"': lambda obj: {**obj, "ambient_dim": "3"},
+    "ambient_dim=3.9": lambda obj: {**obj, "ambient_dim": 3.9},
+    "domain_dim=1.5": lambda obj: {**obj, "domain_dim": 1.5},
+    "exit.dim=1.7": lambda obj: {**obj, "exit": {**obj["exit"], "dim": 1.7}},
+    'seed="7"': lambda obj: {**obj, "seed": "7"},
+    "seed=true": lambda obj: {**obj, "seed": True},
+    "schema_version=true": lambda obj: {**obj, "schema_version": True},
+    "schema_version=1.0": lambda obj: {**obj, "schema_version": 1.0},
     # matrices whose rows differ in length
     "domain_basis=ragged": lambda obj: {**obj, "domain_basis": _ragged(obj["domain_basis"])},
     "exit.block=ragged": lambda obj: {

@@ -5,7 +5,9 @@ set, by keyword or by position, by some call in ``src/``, ``tests/``,
 ``demos/`` or ``perfbench/``, and not every call that sets it passes the
 default value itself.  Calls are matched by the called name alone, so two
 functions sharing a name share their callers.  No dataclass stores an
-integer beside its arrays: a dimension is the shape of the array it counts."""
+integer beside its arrays: a dimension is the shape of the array it counts.
+No function takes a tolerance policy and no dataclass stores one: the policy
+in force is set by ``tolerance`` and read where a decision is made."""
 
 import ast
 from pathlib import Path
@@ -15,9 +17,11 @@ ROOT = Path(__file__).resolve().parents[1]
 #: integer dataclass fields that are not the shape of an array
 INT_FIELDS = {"InstanceFile.seed"}
 
-#: ``tol`` is threaded through by callers that hold a policy; models are
-#: called as values, ``r(point, boundary_ok=True)``
-EXEMPT = {"tol", "ResolventModel.__call__.boundary_ok"}
+#: models are called as values, ``r(point, boundary_ok=True)``
+EXEMPT = {"ResolventModel.__call__.boundary_ok"}
+
+#: the one function that takes a policy: it sets the policy in force
+POLICY_SETTERS = {"tolerance.policy"}
 
 
 def _trees(*dirs):
@@ -124,3 +128,28 @@ def test_no_dataclass_stores_a_dimension_beside_its_arrays():
                        if isinstance(node, ast.AnnAssign) and ast.unparse(node.annotation) == "int"]
     extra = [name for name in stored if name not in INT_FIELDS]
     assert extra == [], f"integer fields beside arrays: {extra}"
+
+
+def _is_policy(name, annotation, default):
+    """Whether a parameter or field holds a tolerance policy: by its name, its
+    annotation or its default."""
+    return name == "tol" or any(word in ast.unparse(node) for word, node in
+                                (("TolPolicy", annotation), ("DEFAULT_TOL", default)) if node)
+
+
+def test_no_function_or_dataclass_takes_a_tolerance_policy():
+    taking = []
+    for prefix, fn, _ in _functions():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        taking += [f"{prefix}{fn.name}.{arg.arg}" for arg, default in
+                   zip(positional + args.kwonlyargs, defaults + args.kw_defaults)
+                   if _is_policy(arg.arg, arg.annotation, default)]
+    for tree in _trees("src"):
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            taking += [f"{cls.name}.{node.target.id}" for node in cls.body
+                       if isinstance(node, ast.AnnAssign)
+                       and _is_policy(node.target.id, node.annotation, node.value)]
+    extra = [name for name in taking if name not in POLICY_SETTERS]
+    assert extra == [], f"tolerance policies passed by hand: {extra}"

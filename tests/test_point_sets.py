@@ -37,8 +37,8 @@ def _outcome(fn, *args):
     return value.shape, value.tobytes()
 
 
-def _inv_loop(stack, tol):
-    return np.stack([nk.inv(member, tol) for member in stack])
+def _inv_loop(stack):
+    return np.stack([nk.inv(member) for member in stack])
 
 
 def _member(rng, n, sigma_min):
@@ -51,8 +51,7 @@ def _member(rng, n, sigma_min):
 @pytest.mark.parametrize("n", range(1, 33))
 def test_stacked_inv_matches_single_calls(n):
     rng = np.random.default_rng(1000 + n)
-    tol = nk.DEFAULT_TOL
-    tau = tol.threshold(1.0, n)
+    tau = nk.DEFAULT_TOL.threshold(1.0, n)
     certified = [np.eye(n) + 0.5 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
                  / np.sqrt(n) for _ in range(5)]
     # members around the threshold: some the certificate takes, some only the
@@ -75,26 +74,25 @@ def test_stacked_inv_matches_single_calls(n):
     ]
     for members in stacks:
         stack = np.stack(members)
-        assert _outcome(nk.inv, stack, tol) == _outcome(_inv_loop, stack, tol)
+        assert _outcome(nk.inv, stack) == _outcome(_inv_loop, stack)
     # the bits of a stacked np.linalg.inv are those of single calls
     stack = np.stack(certified)
-    assert nk.inv(stack, tol).tobytes() == \
+    assert nk.inv(stack).tobytes() == \
         b"".join(np.linalg.solve(m, np.eye(n, dtype=complex)).tobytes() for m in certified)
 
 
 def test_stacked_inv_raises_the_first_failure_of_the_loop():
     rng = np.random.default_rng(5)
-    tol = nk.DEFAULT_TOL
     good = [np.eye(4) + 0.1 * rng.standard_normal((4, 4)) for _ in range(3)]
     first, second = _member(rng, 4, 1e-12), _member(rng, 4, 1e-13)
     with pytest.raises(Singular) as stacked:
-        nk.inv(np.stack(good[:1] + [first] + good[1:] + [second]), tol)
+        nk.inv(np.stack(good[:1] + [first] + good[1:] + [second]))
     with pytest.raises(Singular) as single:
-        nk.inv(first, tol)
+        nk.inv(first)
     assert stacked.value.smallest_sv == single.value.smallest_sv
-    assert nk.inv(np.zeros((0, 3, 3)), tol).shape == (0, 3, 3)
+    assert nk.inv(np.zeros((0, 3, 3))).shape == (0, 3, 3)
     with pytest.raises(ValueError, match="square"):
-        nk.inv(np.zeros((2, 3, 4)), tol)
+        nk.inv(np.zeros((2, 3, 4)))
 
 
 def _spectrum_point(model):

@@ -1,5 +1,5 @@
 """Anchor-level values (defect frames, forbidden operator, forward transforms)
-are built once per (operator, anchor, tol), shared read-only, and equal bit
+are built once per (operator, anchor, policy in force), shared read-only, and equal bit
 for bit to a fresh build."""
 
 import numpy as np
@@ -18,10 +18,6 @@ def _fresh(op):
     return type(op)(g.Subspace(op.dom.basis.copy()), op.action.copy())
 
 
-def _cayley(op, z, *tol):
-    return g.cayley_transform(op, z, *tol)
-
-
 def test_criterion_2_loop_builds_each_anchor_pair_once(monkeypatch):
     rng = np.random.default_rng(202)
     anchor = 1j
@@ -31,9 +27,9 @@ def test_criterion_2_loop_builds_each_anchor_pair_once(monkeypatch):
     points = []
     original = operators.defect_subspaces
 
-    def spy(op, point, tol=g.DEFAULT_TOL):
+    def spy(op, point):
         points.append(complex(point))
-        return original(op, point, tol)
+        return original(op, point)
 
     monkeypatch.setattr(operators, "defect_subspaces", spy)
     family = defect_block_family(oracle, a, anchor)
@@ -56,18 +52,22 @@ def test_memo_keeps_tolerances_and_conjugate_anchors_apart():
     at_zbar = operators.parameter_frames(a, np.conj(z))
     assert at_zbar is not at_z
     np.testing.assert_array_equal(at_zbar[0].n_space.basis, at_z[1].n_space.basis)
-    assert operators.parameter_frames(a, z, loose) is not at_z
-    assert operators.parameter_frames(a, z, loose) is \
-        operators.parameter_frames(a, z, g.TolPolicy(abs_floor=1e-9))
-    for build in (g.forbidden_operator, _cayley):
+    with g.tolerance(loose):
+        at_loose = operators.parameter_frames(a, z)
+    assert at_loose is not at_z
+    with g.tolerance(g.TolPolicy(abs_floor=1e-9)):
+        assert operators.parameter_frames(a, z) is at_loose
+    for build in (g.forbidden_operator, g.cayley_transform):
         first = build(a, z)
         assert build(a, z) is first
         assert build(a, np.conj(z)) is not first
-        assert build(a, z, loose) is not first
+        with g.tolerance(loose):
+            assert build(a, z) is not first
     v = g.IsometryOp.random(4, 2, rng)
     w = g.moebius_transform(v, 0.3j)
     assert g.moebius_transform(v, 0.3j) is w
-    assert g.moebius_transform(v, 0.3j, loose) is not w
+    with g.tolerance(loose):
+        assert g.moebius_transform(v, 0.3j) is not w
 
 
 def test_warm_and_fresh_operators_agree_bitwise():
@@ -129,7 +129,7 @@ def test_failed_build_is_not_stored():
         return (np.zeros(2),)
 
     with pytest.raises(g.NumericalFailure):
-        operators._memoized(op, "probe", 1j, g.DEFAULT_TOL, build)
-    value = operators._memoized(op, "probe", 1j, g.DEFAULT_TOL, build)
-    assert operators._memoized(op, "probe", 1j, g.DEFAULT_TOL, build) is value
+        operators._memoized(op, "probe", 1j, build)
+    value = operators._memoized(op, "probe", 1j, build)
+    assert operators._memoized(op, "probe", 1j, build) is value
     assert attempts == [0, 1]

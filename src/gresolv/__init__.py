@@ -13,7 +13,7 @@ from .numkernel import (CMatrix, DEFAULT_TOL, Subspace, TolPolicy, eig_normal,
 from .operators import (INFINITY, DefectPair, IsometryOp,
                         PartialOperator, SymmetricOp, cayley_transform,
                         classify_signs, defect_subspaces, is_regular_type,
-                        moebius_transform, orthogonal_extension)
+                        moebius_transform, orthogonal_extension, range_frame)
 from .extensions import (BlockParam, ExitSpaceModel, ExtensionClass, PartialMap,
                          build_admissible_isometry, compressed_extension,
                          exit_space_extension, forbidden_operator, is_admissible,

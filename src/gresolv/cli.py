@@ -57,10 +57,13 @@ def _c_from_json(value, field: str = "value") -> complex:
 
 
 def _number(value, field: str) -> float:
+    """A JSON number; a bool or a string is not one."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{field}: expected a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{field}: expected a number, got {value!r}") from exc
+    except OverflowError as exc:
+        raise ParseError(f"{field}: number out of range") from exc
 
 
 def _integer(value, field: str) -> int:

@@ -197,13 +197,16 @@ def _fix_phases(q: CMatrix) -> CMatrix:
 
     Deterministic representative of the frame; does not change the span.
     """
-    # a vectorized rotation is not bitwise this scalar loop, which every frame passes
     q = q.copy()
-    for j in range(q.shape[1]):
-        i = int(np.argmax(np.abs(q[:, j])))
-        piv = q[i, j]
-        if abs(piv) > 0:
-            q[:, j] *= np.conj(piv) / abs(piv)
+    if q.size == 0:
+        return q
+    pivots = q[np.argmax(np.abs(q), axis=0), np.arange(q.shape[1])]
+    # scalar phases: numpy's array abs and array complex division round
+    # differently from the scalar ones, and the frames' bits are kept; a zero
+    # column is not multiplied, so its signed zeros keep theirs too
+    cols = [j for j, piv in enumerate(pivots) if abs(piv) > 0]
+    if cols:
+        q[:, cols] *= np.array([np.conj(pivots[j]) / abs(pivots[j]) for j in cols])
     return q
 
 

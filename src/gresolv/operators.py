@@ -151,12 +151,11 @@ def _memoized(op: PartialOperator, what: str, point, build):
     return op._memo[key]
 
 
-def defect_subspaces(op: PartialOperator, point) -> DefectPair:
-    """Defect pair of an isometric or symmetric operator at a point.
+def range_frame(op: PartialOperator, point) -> Subspace:
+    """The shifted range of an isometric or symmetric operator at a point.
 
-    Isometric V: the range of (E - zeta V) on the domain, and its complement;
-    ``INFINITY`` selects the range of V itself.  Symmetric A: the range of
-    (A - z E) on the domain, and its complement.
+    Isometric V: the range of (E - zeta V) on the domain; ``INFINITY`` selects
+    the range of V itself.  Symmetric A: the range of (A - z E) on the domain.
     """
     d, a = op.dom.basis, op.action
     if isinstance(op, IsometryOp):
@@ -165,7 +164,13 @@ def defect_subspaces(op: PartialOperator, point) -> DefectPair:
         raise ValueError("infinity defect is defined for isometric operators only")
     else:
         raw = a - complex(point) * d
-    m_space = nk.orthonormalize(raw)
+    return nk.orthonormalize(raw)
+
+
+def defect_subspaces(op: PartialOperator, point) -> DefectPair:
+    """Defect pair of an isometric or symmetric operator at a point: the
+    shifted range of ``range_frame`` and its orthogonal complement."""
+    m_space = range_frame(op, point)
     return DefectPair(m_space, nk.orthogonal_complement(m_space))
 
 

@@ -22,7 +22,7 @@ from .extensions import (ExitSpaceModel, PartialMap, BlockParam,
                          neumann_extension, neumann_parameter)
 from .numkernel import CMatrix, Subspace
 from .operators import (IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
-                        defect_subspaces, orthogonal_extension, parameter_frames,
+                        orthogonal_extension, parameter_frames, range_frame,
                         require_nonreal)
 
 
@@ -561,7 +561,7 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex) -> CM
         raise NumericalFailure(
             f"characteristic value norm {nk.op_norm(coords):.6f} exceeds its bound {bound:.6f}")
     # membership of the images in the shifted range
-    mlam = defect_subspaces(a, lam).m_space
+    mlam = range_frame(a, lam)
     probe = (lam - z) * nzbar.basis - (lam - np.conj(z)) * (nz.basis @ coords)
     res = nk.op_norm(probe - nk.projector(mlam) @ probe)
     if res > 1e-9 * max(1.0, nk.op_norm(probe)):

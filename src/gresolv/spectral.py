@@ -20,7 +20,7 @@ from .extensions import ExitSpaceModel, PartialMap, neumann_extension
 from .numkernel import CMatrix, Subspace
 from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
                         defect_subspaces, is_regular_type, orthogonal_extension,
-                        parameter_frames, require_nonreal)
+                        parameter_frames, range_frame, require_nonreal)
 from .resolvents import ContractionParam, ResolventModel
 
 #: margins below this flag a spectral obstruction; defects above it break unitarity
@@ -137,6 +137,13 @@ class _Side:
     1/zeta.  The line side holds a symmetric operator anchored at a non-real
     z: the atom location t is probed at lam = t itself.  ``src`` and ``dst``
     are the parameter frames at the anchor and at its partner point.
+
+    The raw defect matrix at a probe point p is R(p) = P0 - p P1, with
+    (P0, P1) = (D, action) on the circle and (action, D) on the line: the
+    shifted range at p is its range, and the defect space at p the kernel of
+    R(p)*.  ``blocks`` holds what the comparison map needs of the operator
+    and the anchor, with M and S the m- and n-frames at the anchor and T the
+    n-frame at the partner: (P0* M, P1* M, P0* S, P1* S, T* S, T* M).
     """
 
     kind: str  # 'circle' | 'line'
@@ -144,6 +151,7 @@ class _Side:
     anchor: complex
     src: DefectPair
     dst: DefectPair
+    blocks: tuple
 
     @classmethod
     def of(cls, op: PartialOperator, anchor: complex) -> "_Side":
@@ -154,40 +162,49 @@ class _Side:
             kind = "line"
         else:
             raise TypeError("gap reports need an isometric or symmetric operator")
-        return cls(kind, op, anchor, *parameter_frames(op, anchor))
+        src, dst = parameter_frames(op, anchor)
+        p0, p1 = (op.dom.basis, op.action) if kind == "circle" else (op.action, op.dom.basis)
+        m, s = src.m_space.basis, src.n_space.basis
+        t_m, t_s = (dst.n_space.basis.conj().T @ frame for frame in (m, s))
+        p0_m, p1_m, p0_s, p1_s = (p.conj().T @ frame for frame in (m, s) for p in (p0, p1))
+        return cls(kind, op, anchor, src, dst, (p0_m, p1_m, p0_s, p1_s, t_s, t_m))
 
     def point(self, x: float) -> complex:
         """Resolvent-side point whose obstruction sits at the atom location x."""
         return complex(np.exp(-1j * x)) if self.kind == "circle" else complex(x)
 
-    def checked_pair(self, point: complex) -> tuple[float, DefectPair]:
-        """Regular-type bound at the regular-type point of a probe point and the
-        defect pair at the probe point.  Raises ``PointExcluded`` for a circle
-        point off the circle and ``NotRegularType`` when the bound fails."""
+    def regular_bound(self, point: complex) -> float:
+        """Regular-type bound at the regular-type point of a probe point.
+        Raises ``PointExcluded`` for a circle point off the circle and
+        ``NotRegularType`` when the bound fails."""
         if self.kind == "circle" and abs(abs(point) - 1.0) > 1e-12:
             raise PointExcluded("the comparison map is defined at unimodular points")
         reg = 1.0 / point if self.kind == "circle" else point
         ok, bound = is_regular_type(self.op, reg)
         if not ok:
             raise NotRegularType(reg, bound)
-        return bound, defect_subspaces(self.op, point)
+        return bound
 
-    def covering(self, point: complex, pair: DefectPair) -> float:
+    def covering(self, point: complex) -> float:
         """Margin by which the shifted range at the image of a probe point
         covers the partner one: the smallest cosine between the two, 0 when
-        their dimensions differ.  ``pair`` is the defect pair at the point."""
+        their dimensions differ."""
         z0 = self.anchor
         image = point if self.kind == "line" or z0 == 0 else \
             (z0 + point) / (1.0 + point * np.conj(z0))
-        m_img = (pair if image == point else defect_subspaces(self.op, image)).m_space
-        cov = self.dst.m_space.basis.conj().T @ m_img.basis
+        cov = self.dst.m_space.basis.conj().T @ range_frame(self.op, image).basis
         return _margin(cov) if cov.shape[0] == cov.shape[1] else 0.0
 
-    def margin(self, point: complex, value: CMatrix, pair: DefectPair) -> float:
+    def margin(self, point: complex, value: CMatrix) -> float:
         """Invertibility margin of a parameter value against the comparison
-        map at a probe point; ``pair`` is the defect pair at the point."""
-        w = _anchored_gap_map(self, point, pair)
-        return _margin(value - self.dst.n_space.basis.conj().T @ w.matrix)
+        map at a probe point."""
+        return _margin(value - _anchored_gap_map(self, point))
+
+    def comparison_map(self, point: complex) -> PartialMap:
+        """The comparison map at a probe point, after its regular-type test."""
+        self.regular_bound(point)
+        return PartialMap.from_coords(self.src.n_space, self.dst.n_space,
+                                      _anchored_gap_map(self, point))
 
     def jump_probe(self, point: complex) -> complex:
         """Nearby point off the boundary where a callback parameter is compared."""
@@ -203,29 +220,31 @@ class _Side:
         return (lam - np.conj(z)) / (lam - z)
 
 
-def _anchored_gap_map(side: _Side, lam: complex, pair: DefectPair) -> PartialMap:
-    """The comparison map between the parameter frames of a side.
+def _anchored_gap_map(side: _Side, lam: complex) -> CMatrix:
+    """Coordinates of the comparison map between the parameter frames of a side.
 
-    Sends the shadow of a lam-defect vector in the source defect space to its
-    shadow in the destination one, scaled by the side's factor; ``pair`` is
-    the defect pair at lam from ``side.checked_pair(lam)``.
+    The map sends the shadow S* v of a lam-defect vector v to its shadow T* v,
+    scaled by the side's factor.  Writing v = S c + M w, v is a lam-defect
+    vector exactly when R(lam)* v = 0, that is K w = -L c with K = R(lam)* M
+    and L = R(lam)* S.  So the coordinates are f(lam) [T* S - T* M K^-1 L],
+    from the side's blocks and one d x d inverse.
     """
-    src, dst = side.src.n_space, side.dst.n_space
-    s_mat = src.basis.conj().T @ pair.n_space.basis
-    q_mat = dst.basis.conj().T @ pair.n_space.basis
-    coords = side.factor(lam) * (q_mat @ nk.inv(s_mat))
-    result = PartialMap.from_coords(src, dst, coords)
-    if result.dim and not result.is_isometric(nk.BUILT_GATE):
+    p0_m, p1_m, p0_s, p1_s, t_s, t_m = side.blocks
+    coords = t_s
+    if p0_m.size:
+        conj = np.conj(lam)
+        coords = t_s - t_m @ (nk.inv(p0_m - conj * p1_m) @ (p0_s - conj * p1_s))
+    coords = side.factor(lam) * coords
+    if coords.shape[1] and not nk.is_isometric(coords, nk.BUILT_GATE):
         raise NumericalFailure("comparison map lost its isometry")
-    return result
+    return coords
 
 
 def comparison_map(v: IsometryOp, zeta: complex) -> PartialMap:
     """Comparison map between the domain-side and range-side defects at a
     unimodular point: the shadow of a zeta-defect vector in the domain
     complement is sent to 1/zeta times its shadow in the range complement."""
-    side, zeta = _Side.of(v, 0.0), complex(zeta)
-    return _anchored_gap_map(side, zeta, side.checked_pair(zeta)[1])
+    return _Side.of(v, 0.0).comparison_map(complex(zeta))
 
 
 def comparison_map_symmetric(a: SymmetricOp, z: complex, lam: complex) -> PartialMap:
@@ -234,8 +253,7 @@ def comparison_map_symmetric(a: SymmetricOp, z: complex, lam: complex) -> Partia
     Sends the shadow of a real-point defect vector in the anchor defect space
     to (lam - conj(z))/(lam - z) times its shadow in the conjugate one.
     """
-    side, lam = _Side.of(a, z), complex(lam)
-    return _anchored_gap_map(side, lam, side.checked_pair(lam)[1])
+    return _Side.of(a, z).comparison_map(complex(lam))
 
 
 @dataclass(frozen=True)
@@ -258,13 +276,13 @@ def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex) -> GapCriteria:
     zeta = complex(zeta)
     c = nk.as_cmatrix(c)
     side = _Side.of(v, 0.0)
-    pair = side.checked_pair(zeta)[1]
+    side.regular_bound(zeta)
     n0, ninf = side.src.n_space, side.dst.n_space
     if c.shape != (ninf.dim, n0.dim):
         raise ValueError(f"parameter shape {c.shape} does not match defects {(ninf.dim, n0.dim)}")
-    margin = side.margin(zeta, c, pair)
+    margin = side.margin(zeta, c)
     eigen = margin <= GAP_GATE
-    cover_margin = side.covering(zeta, pair)
+    cover_margin = side.covering(zeta)
     covers = cover_margin > GAP_GATE
 
     # independent eigenvalue test of the direct sum
@@ -346,23 +364,27 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
     fixed_defect = _unitarity_defect(param.form[1]) if param.kind == "constant" else None
     for x in grid:
         point = side.point(x)
-        bound, pair = side.checked_pair(point)
-        covering = side.covering(point, pair)
+        bound = side.regular_bound(point)
+        covering = side.covering(point)
         if covering <= GAP_GATE:
             raise PreconditionViolated(f"range covering fails at {x}")
         value = param(point)
         jump = nk.op_norm(value - param(side.jump_probe(point))) \
             if param.kind == "callback" else 0.0
         defect = _unitarity_defect(value) if fixed_defect is None else fixed_defect
-        records.append(GapPointRecord(point, bound, covering, side.margin(point, value, pair),
+        records.append(GapPointRecord(point, bound, covering, side.margin(point, value),
                                       defect, jump))
+
+    # a certified region needs no regular-type test at the refinement probes
+    certified = _require_regular_region(op, region, grid,
+                                        np.array([r.regular_bound for r in records]))
 
     def gfun(x: float) -> float:
         point = side.point(x)
-        return side.margin(point, param(point), side.checked_pair(point)[1])
+        if not certified:
+            side.regular_bound(point)
+        return side.margin(point, param(point))
 
-    _require_regular_region(op, region, grid,
-                            np.array([r.regular_bound for r in records]))
     refined, _ = _refine_minima(gfun, grid, np.array([r.margin for r in records]),
                                 region.lo, region.hi)
     unit_ok = all(r.unitarity_defect <= GAP_GATE for r in records)
@@ -442,24 +464,41 @@ def _refine_minima(gfun, grid: np.ndarray, values: np.ndarray,
 
 
 def _require_regular_region(op: PartialOperator, region: ArcSpec, grid: np.ndarray,
-                            bounds: np.ndarray) -> None:
+                            bounds: np.ndarray) -> bool:
     """Certify the regular-type hypothesis on the whole region, not just the grid.
 
     Points of the operator's own approximate point spectrum inside the region
-    are invisible to the parameter-side margins, so the lower-bound function is
-    refined between grid points as well.
+    are invisible to the parameter-side margins.  The bound of
+    ``is_regular_type``, sigma_min(action - p D), is 1-Lipschitz in p, and p
+    moves no faster than the region's coordinate; so the grid bounds give a
+    floor for every cell: (b_j + b_{j+1} - h_j)/2 between grid points, and b
+    less the distance to the region's end in the two edge cells.  When the
+    floor, less a pad for the rounding of the SVDs twice, clears both the
+    region's gate and the gate of ``is_regular_type`` at any probe, the region
+    is certified and True is returned.  Otherwise the lower-bound function is
+    refined between grid points, and False is returned when no point fails.
     """
     if op.dom.dim == 0:
-        return
+        return True
+    n, policy = op.ambient_dim, nk._policy()
+    # sigma_max(action - p D) <= ||action||_F + |p| over the whole region
+    reach = 1.0 if region.kind == "circle" else max(abs(region.lo), abs(region.hi))
+    sigma = nk._fro(op.action) + reach
+    pad = 8.0 * (n + 2) ** 2 * nk._EPS * sigma
+    floor = min(bounds[0] - (grid[0] - region.lo), bounds[-1] - (region.hi - grid[-1]),
+                np.min((bounds[:-1] + bounds[1:] - np.diff(grid)) / 2.0, initial=np.inf))
+    if floor - 2.0 * pad > max(policy.threshold(2.0, n), policy.threshold(sigma + pad, n)):
+        return True
 
     def rfun(x: float) -> float:
         point = np.exp(1j * x) if region.kind == "circle" else complex(x)
         return is_regular_type(op, point)[1]
 
     refined, at = _refine_minima(rfun, grid, bounds, region.lo, region.hi)
-    if refined <= nk._policy().threshold(2.0, op.ambient_dim):
+    if refined <= policy.threshold(2.0, n):
         point = np.exp(1j * at) if region.kind == "circle" else complex(at)
         raise NotRegularType(point, refined)
+    return False
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,11 @@ def _ragged(rows):
     return rows[:-1] + [rows[-1][:-1]]
 
 
+def _first_cell_as_strings(rows):
+    """The rows with the parts of their first cell written as JSON strings."""
+    return [[[str(part) for part in rows[0][0]]] + rows[0][1:]] + rows[1:]
+
+
 MALFORMED = {
     "parameter": lambda obj: {**obj, "parameter": [1]},
     "parameter.form": lambda obj: {**obj, "parameter": {
@@ -267,6 +272,10 @@ MALFORMED = {
     "seed=true": lambda obj: {**obj, "seed": True},
     "schema_version=true": lambda obj: {**obj, "schema_version": True},
     "schema_version=1.0": lambda obj: {**obj, "schema_version": 1.0},
+    # complex parts that are not JSON numbers, though float() of each is one
+    'exit.anchor=["0", true]': lambda obj: {**obj, "exit": {**obj["exit"], "anchor": ["0", True]}},
+    "domain_basis[0][0]=strings": lambda obj: {
+        **obj, "domain_basis": _first_cell_as_strings(obj["domain_basis"])},
     # matrices whose rows differ in length
     "domain_basis=ragged": lambda obj: {**obj, "domain_basis": _ragged(obj["domain_basis"])},
     "exit.block=ragged": lambda obj: {

@@ -203,3 +203,32 @@ def test_subspace_checks_outside_frames_but_not_svd_frames(monkeypatch, rng):
     assert [f.dim for f in frames] == [3, 2, 2]
     for frame in frames:
         assert nk.isometry_defect(frame.basis) < 1e-14
+
+
+def _fix_phases_by_column(q):
+    """The column-by-column phase fixing that ``nk._fix_phases`` replaces."""
+    q = q.copy()
+    for j in range(q.shape[1]):
+        i = int(np.argmax(np.abs(q[:, j])))
+        piv = q[i, j]
+        if abs(piv) > 0:
+            q[:, j] *= np.conj(piv) / abs(piv)
+    return q
+
+
+def test_fix_phases_is_bitwise_the_column_loop():
+    rng = np.random.default_rng(32)
+    for _ in range(20000):
+        n = int(rng.integers(1, 33))
+        k = int(rng.integers(0, n + 1))
+        q = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        q *= 10.0 ** rng.choice([0, 300, -300])
+        if k and rng.random() < 0.2:
+            # zero columns, signed zeros included
+            q[:, rng.integers(k)] = 0.0
+            q[:, 0] = complex(-0.0, -0.0)
+        if rng.random() < 0.3:
+            q = np.asfortranarray(q)
+        expected, fixed = _fix_phases_by_column(q), nk._fix_phases(q)
+        assert fixed.flags.c_contiguous == expected.flags.c_contiguous
+        assert fixed.tobytes() == expected.tobytes()

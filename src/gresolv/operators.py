@@ -142,9 +142,9 @@ def _read_only(value):
     return value
 
 
-def _memoized(op: PartialOperator, what: str, point, build):
-    """``build()``, run once per (what, point, policy in force) and kept on
-    ``op`` with its arrays read-only; a build that raises stores nothing."""
+def _memoized(op: PartialOperator, what, point, build):
+    """``build()``, run once per (hashable what, point, policy in force) and
+    kept on ``op`` with its arrays read-only; a build that raises stores nothing."""
     key = (what, point if point is INFINITY else complex(point), nk._policy())
     if key not in op._memo:
         op._memo[key] = _read_only(build())
@@ -287,12 +287,12 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex) -> CMatrix:
     inv_plus = nk.inv(eye + z0 * plus)
     v_c = (plus + np.conj(z0) * eye) @ inv_plus
     # pull-back identities tying the direct sum to the extension
-    res1 = nk.op_norm(v_c - (eye / z0 + (abs(z0) ** 2 - 1) / z0 * inv_plus))
-    res2 = nk.op_norm(plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c)))
-    norm = nk.op_norm(v_c)
-    if max(res1, res2) > 1e-10 * max(1.0, norm):
-        raise NumericalFailure(f"extension identities violated (residual {max(res1, res2):.3e})")
-    nk.check_contraction(norm, "extension norm")
+    residuals = (v_c - (eye / z0 + (abs(z0) ** 2 - 1) / z0 * inv_plus),
+                 plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c)))
+    if not all(nk._norm_within(res, 1e-10, v_c) for res in residuals):
+        res = max(map(nk.op_norm, residuals))
+        raise NumericalFailure(f"extension identities violated (residual {res:.3e})")
+    nk.check_contraction(v_c, "extension norm")
     return v_c
 
 

@@ -557,15 +557,16 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex) -> CM
     factor = (lam - z) / (lam - np.conj(z))
     coords = factor * (nz.basis.conj().T @ skew @ nzbar.basis)
     bound = abs(factor)
-    if nk.op_norm(coords) > bound + 1e-10:
+    if not nk._norm_within(coords, bound + 1e-10):
         raise NumericalFailure(
             f"characteristic value norm {nk.op_norm(coords):.6f} exceeds its bound {bound:.6f}")
     # membership of the images in the shifted range
     mlam = range_frame(a, lam)
     probe = (lam - z) * nzbar.basis - (lam - np.conj(z)) * (nz.basis @ coords)
-    res = nk.op_norm(probe - nk.projector(mlam) @ probe)
-    if res > 1e-9 * max(1.0, nk.op_norm(probe)):
-        raise NumericalFailure(f"characteristic images leave the shifted range ({res:.3e})")
+    res = probe - nk.projector(mlam) @ probe
+    if not nk._norm_within(res, 1e-9, probe):
+        raise NumericalFailure(
+            f"characteristic images leave the shifted range ({nk.op_norm(res):.3e})")
     return coords
 
 

@@ -19,7 +19,7 @@ from .errors import (InternalDisagreement, NotRegularType, NumericalFailure,
 from .extensions import ExitSpaceModel, PartialMap, neumann_extension
 from .numkernel import CMatrix, Subspace
 from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
-                        defect_subspaces, is_regular_type, orthogonal_extension,
+                        _memoized, defect_subspaces, is_regular_type, orthogonal_extension,
                         parameter_frames, range_frame, require_nonreal)
 from .resolvents import ContractionParam, ResolventModel
 
@@ -56,7 +56,7 @@ class SpectralAtoms:
             if w_min < -1e-10:
                 raise ValueError(f"weight at {loc} has eigenvalue {w_min:.3e}")
             total += weight
-        if nk.op_norm(total - np.eye(n)) > 1e-9:
+        if not nk._norm_within(total - np.eye(n), 1e-9):
             raise ValueError("weights do not sum to the identity")
 
     @property
@@ -331,16 +331,16 @@ def in_space_atoms(op: PartialOperator, param: ContractionParam,
     side = _Side.of(op, complex(anchor))
     src, dst = side.src.n_space, side.dst.n_space
     value = param.in_frames(src, dst).form[1]
-    if not nk.is_unitary(value, nk.STRUCT_GATE):
-        return None
-    if side.kind == "circle":
-        big = orthogonal_extension(op, value, side.anchor)
-    else:
-        ext, cls = neumann_extension(op, side.anchor, PartialMap.from_coords(src, dst, value))
-        if not cls.self_adjoint:
+
+    def build():
+        if not nk.is_unitary(value, nk.STRUCT_GATE):
             return None
-        big = ext.full_matrix()
-    return spectral_measure(ExitSpaceModel(big, op))
+        if side.kind == "circle":
+            big = orthogonal_extension(op, value, side.anchor)
+            return spectral_measure(ExitSpaceModel(big, op))
+        ext, cls = neumann_extension(op, side.anchor, PartialMap.from_coords(src, dst, value))
+        return spectral_measure(ExitSpaceModel(ext.full_matrix(), op)) if cls.self_adjoint else None
+    return _memoized(op, ("atoms", value.shape, value.tobytes()), side.anchor, build)
 
 
 def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,

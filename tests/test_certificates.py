@@ -5,8 +5,9 @@ verdicts, exception values and bits of the SVD forms they stand in for.
 value swept through [tau/10, 10 tau] around the singularity threshold tau,
 under four tolerance policies.  Each gate is checked against its spectral
 norm form on matrices placed just inside and just outside the gate; the gates
-of ``defect_block`` and ``neumann_extension`` also in place, by their verdicts
-and messages.  A spy on one ``verify --suite all`` run pins how often the SVD
+of ``defect_block``, ``neumann_extension``, ``ExitSpaceModel``, the Neumann
+tail check and ``SpectralAtoms`` also in place, by their verdicts and
+messages.  A spy on one ``verify --suite all`` run pins how often the SVD
 fallbacks still run.
 """
 
@@ -299,6 +300,80 @@ def test_off_defect_gate_matches_its_spectral_form(side, spread, shift, monkeypa
         t = g.PartialMap(src, 0.5 * dst.basis + tilt)
     fast, spectral = _both_forms(monkeypatch, g.neumann_extension, a, 1j, t)
     assert fast == spectral
+
+
+def _assert_decided_alike(monkeypatch, fn, shift):
+    """Both forms of the gates give the same outcome, and a shift of 1e-2 puts
+    it on the side of the gate that the shift's sign says."""
+    fast, spectral = _both_forms(monkeypatch, fn)
+    assert fast == spectral
+    if abs(shift) > 1e-4:
+        assert isinstance(fast, tuple) == (shift > 0)
+
+
+@pytest.mark.parametrize("shift", NEAR)
+@pytest.mark.parametrize("spread", [0.0, 1.0])
+@pytest.mark.parametrize("kind", ["unitary", "hermitian"])
+def test_model_extension_gate_matches_its_spectral_form(kind, spread, shift, monkeypatch):
+    """A block-diagonal big operator whose inner block reproduces the inner
+    action up to a residual of about 1e-10 max(1, ||big||) (3 for the
+    Hermitian model)."""
+    rng = np.random.default_rng(5)
+    n, d, m = 5, 3, 2
+    dom = nk.haar_frame(n, d, rng)
+    if kind == "unitary":
+        inner, outer = nk.haar_unitary(n, rng), nk.haar_unitary(m, rng)
+    else:
+        q = nk.haar_unitary(n, rng)
+        inner = q @ np.diag([3.0, -2.0, 1.0, 0.5, -0.25]).astype(complex) @ q.conj().T
+        outer = np.diag([1.0, -1.5]).astype(complex)
+    big = np.block([[inner, np.zeros((n, m))], [np.zeros((m, n)), outer]])
+    level = 1e-10 * max(1.0, nk.op_norm(big))
+    action = inner @ dom + _with_norm(rng, n, d, _near(rng, d, level, shift, spread))
+    cls = g.IsometryOp if kind == "unitary" else g.SymmetricOp
+    op = cls(nk.Subspace(dom), action)
+
+    def model_bytes():
+        return g.ExitSpaceModel(big, op).big_op
+
+    _assert_decided_alike(monkeypatch, model_bytes, shift)
+
+
+@pytest.mark.parametrize("shift", NEAR)
+@pytest.mark.parametrize("spread", [0.0, 1.0])
+def test_neumann_tail_gate_matches_its_spectral_form(spread, shift, monkeypatch):
+    """The extension of a parameter checked against that parameter moved by
+    about 1e-8: the recovered parameter differs from it by the move."""
+    rng, a, src, dst = _symmetric_with_frames(6)
+    n, k = src.basis.shape
+    t = g.PartialMap(src, 0.5 * dst.basis)
+    ext, _ = g.neumann_extension(a, 1j, t)
+    moved = g.PartialMap(src, t.matrix + _with_norm(rng, n, k, _near(rng, k, 1e-8, shift, spread)))
+
+    def tail_check():
+        g.extensions._check_neumann_tail(a, 1j, moved, ext)
+        return moved.matrix
+
+    _assert_decided_alike(monkeypatch, tail_check, shift)
+
+
+@pytest.mark.parametrize("shift", NEAR)
+@pytest.mark.parametrize("spread", [0.0, 1.0])
+def test_atom_weights_gate_matches_its_spectral_form(spread, shift, monkeypatch):
+    """Two circle atoms whose weights, complementary projectors plus a
+    semidefinite excess on the first, sum to the identity up to about 1e-9."""
+    rng = np.random.default_rng(7)
+    n = 4
+    frame = nk.haar_unitary(n, rng)
+    low, high = frame[:, :2], frame[:, 2:]
+    u = nk.haar_unitary(n, rng)
+    excess = u @ np.diag(_near(rng, n, 1e-9, shift, spread)).astype(complex) @ u.conj().T
+    atoms = ((0.5, low @ low.conj().T + excess), (2.0, high @ high.conj().T))
+
+    def locations():
+        return g.SpectralAtoms("circle", atoms).locations()
+
+    _assert_decided_alike(monkeypatch, locations, shift)
 
 
 #: upper bounds on the SVD fallbacks of one ``verify --suite all`` run of the

@@ -196,19 +196,25 @@ def test_cli_tolerance_reaches_every_defect_computation(tmp_path, monkeypatch):
         paths.append(tmp_path / f"{kind}.json")
         cli.save_instance(cli.generate_instance(kind, 4, 2, 2, seed=3), paths[-1])
     seen = []
-    real = g.operators.defect_subspaces
 
-    def spy(op, point):
-        seen.append(g.numkernel._policy())
-        return real(op, point)
+    def spy(name, real):
+        def read(op, point):
+            seen.append((name, g.numkernel._policy()))
+            return real(op, point)
+        return read
 
-    for module in (g.operators, g.extensions, g.resolvents, g.spectral, cli):
-        if hasattr(module, "defect_subspaces"):
-            monkeypatch.setattr(module, "defect_subspaces", spy)
+    # the gap grid's covering test reads range frames without a defect pair
+    names = ("defect_subspaces", "range_frame")
+    for name in names:
+        read = spy(name, getattr(g.operators, name))
+        for module in (g.operators, g.extensions, g.resolvents, g.spectral, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, read)
     policy = g.TolPolicy(abs_floor=1e-9)
     for path in paths:
         cli.main(["--abs-floor", "1e-9", "verify", str(path), "--suite", "all"])
-    assert seen and all(tol == policy for tol in seen)
+    assert {name for name, _ in seen} == set(names)
+    assert all(tol == policy for _, tol in seen)
 
 
 def test_non_finite_entry_rejected_at_parse_time(tmp_path):

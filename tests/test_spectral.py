@@ -5,6 +5,7 @@ import pytest
 
 import gresolv as g
 import gresolv.numkernel as nk
+from gresolv import cli
 from gresolv.fixtures import (flip_dilation_isometric, flip_dilation_symmetric,
                               partial_identity_isometry, partial_identity_symmetric)
 from gresolv.resolvents import DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES
@@ -288,6 +289,33 @@ def test_gap_checks_compute_each_point_quantity_once(monkeypatch, rng):
     calls["defect_subspaces"] = 0
     g.gap_criteria(v, nk.haar_unitary(3, rng), np.exp(0.7j))
     assert calls["defect_subspaces"] <= 4
+
+
+def test_gap_suite_builds_one_in_space_extension(monkeypatch, tmp_path):
+    """The two gap reports and the region choice of ``verify --suite gap`` share
+    one in-space extension: its atoms are kept on the operator, read-only."""
+    built = []
+    for name in ("orthogonal_extension", "neumann_extension"):
+        def spy(*args, _real=getattr(g.spectral, name), **kwargs):
+            built.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(g.spectral, name, spy)
+    for kind in ("isometric", "symmetric"):
+        path = tmp_path / f"{kind}.json"
+        cli.save_instance(cli.generate_instance(kind, 4, 2, 2, seed=3), path)
+        built.clear()
+        assert cli.main(["verify", str(path), "--suite", "gap"]) == 0
+        assert len(built) == 1
+    inst = cli.load_instance(path)
+    op, param, anchor = inst.operator, inst.parameter_family(), inst.parameter_anchor()
+    built.clear()
+    atoms = g.spectral.in_space_atoms(op, param, anchor)
+    assert atoms is g.spectral.in_space_atoms(op, param, anchor)
+    assert not any(weight.flags.writeable for _, weight in atoms.atoms)
+    # another parameter value is another key
+    other = g.ContractionParam.constant(param.src, param.dst, -param.form[1])
+    assert g.spectral.in_space_atoms(op, other, anchor) is not atoms
+    assert len(built) == 2
 
 
 def test_decomposition_check_fixture():

@@ -31,7 +31,7 @@ FILES += [(kind, n, d, m, n) for kind in ("isometric", "symmetric")
           for n, d, m in ((3, 1, 0), (5, 0, 1), (6, 3, 3))]
 #: symmetric files that fail ``verify --suite all`` at ``limits`` (ROADMAP item 1)
 FILES += [("symmetric", 16, 15, 1, 1493746996), ("symmetric", 4, 3, 1, 2074306116),
-          ("symmetric", 1, 0, 8, 1943781588)]
+          ("symmetric", 1, 0, 8, 1943781588), ("symmetric", 4, 3, 1, 1069842143)]
 
 REGIONS = {"isometric": ("0.3", "2.5"), "symmetric": ("-1.5", "1.5")}
 

@@ -82,6 +82,18 @@ def _norm_within(m: CMatrix, bound: float, scale: CMatrix | None = None) -> bool
     return op_norm(m) <= bound * (1.0 if scale is None else max(1.0, op_norm(scale)))
 
 
+def _worst_norm(mats) -> float:
+    """``max(op_norm(m) for m in mats)``, 0 for none: SVDs in decreasing Frobenius norm
+    (a nan one first, to raise) until that norm cannot exceed the largest found."""
+    worst = 0.0
+    for fro, m in sorted(((_fro(m), m) for m in mats),
+                         key=lambda t: -math.inf if math.isnan(t[0]) else -t[0]):
+        if (1.0 + _FRO_MARGIN) * fro <= worst:
+            break
+        worst = max(worst, op_norm(m))
+    return worst
+
+
 def _gram_defect(m: CMatrix) -> CMatrix:
     return m.conj().T @ m - np.eye(m.shape[1])
 

@@ -290,8 +290,8 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex) -> CMatrix:
     residuals = (v_c - (eye / z0 + (abs(z0) ** 2 - 1) / z0 * inv_plus),
                  plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c)))
     if not all(nk._norm_within(res, 1e-10, v_c) for res in residuals):
-        res = max(map(nk.op_norm, residuals))
-        raise NumericalFailure(f"extension identities violated (residual {res:.3e})")
+        raise NumericalFailure("extension identities violated "
+                               f"(residual {nk._worst_norm(residuals):.3e})")
     nk.check_contraction(v_c, "extension norm")
     return v_c
 

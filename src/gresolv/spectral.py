@@ -115,7 +115,7 @@ def verify_integral_representation(atoms: SpectralAtoms, r: ResolventModel,
     Circle: sum of weight/(1 - z exp(i theta)) against the resolvent; line:
     the Cauchy kernel 1/(t - lam) analogue.
     """
-    worst = 0.0
+    residuals = []
     samples = [complex(point) for point in samples]
     for point, value in zip(samples, r.at(samples)):
         acc = np.zeros((atoms.dim, atoms.dim), dtype=np.complex128)
@@ -124,8 +124,8 @@ def verify_integral_representation(atoms: SpectralAtoms, r: ResolventModel,
                 acc += weight / (1.0 - point * np.exp(1j * loc))
             else:
                 acc += weight / (loc - point)
-        worst = max(worst, nk.op_norm(acc - value))
-    return worst
+        residuals.append(acc - value)
+    return nk._worst_norm(residuals)
 
 
 @dataclass(frozen=True)
@@ -592,11 +592,11 @@ def resolvent_boundedness_probe(r: ResolventModel, region: ArcSpec,
             center = complex(x)
         try:
             val = r(center, boundary_ok=True)
-            max_norm = max(max_norm, nk.op_norm(val))
-            rho = 1e-3
-            ring = [center + rho * np.exp(2j * np.pi * k / 16) for k in range(16)]
+            norm = nk.op_norm(val)
+            max_norm = max(max_norm, norm)
+            ring = [center + 1e-3 * np.exp(2j * np.pi * k / 16) for k in range(16)]
             mean = sum(r(w, boundary_ok=True) for w in ring) / 16.0
-            residual = max(residual, nk.op_norm(mean - val) / max(1.0, nk.op_norm(val)))
+            residual = max(residual, nk.op_norm(mean - val) / max(1.0, norm))
         except SingularSystem:
             return BoundednessProbe(np.inf, np.inf, False)
     return BoundednessProbe(max_norm, residual, bool(max_norm < 1e6 and residual < 1e-8))

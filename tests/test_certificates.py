@@ -8,7 +8,9 @@ norm form on matrices placed just inside and just outside the gate; the gates
 of ``defect_block``, ``neumann_extension``, ``ExitSpaceModel``, the Neumann
 tail check and ``SpectralAtoms`` also in place, by their verdicts and
 messages.  A spy on one ``verify --suite all`` run pins how often the SVD
-fallbacks still run.
+fallbacks still run.  ``_worst_norm`` is checked bit for bit against the
+running maximum of ``op_norm`` it stands in for, and spies pin the SVDs it
+and the printed ``verify`` residuals take.
 """
 
 import contextlib
@@ -406,3 +408,96 @@ def test_verify_run_takes_few_svd_fallbacks(tmp_path, monkeypatch):
     assert counts["solve"] > 0 and counts["op_norm"] > counts["gate"]
     assert counts["inv"] <= INV_FALLBACK_BOUND, counts
     assert counts["gate"] <= GATE_OP_NORM_BOUND, counts
+
+
+def _running_max(mats):
+    worst = 0.0
+    for m in mats:
+        worst = max(worst, nk.op_norm(m))
+    return worst
+
+
+def _norm_set(rng, case):
+    """A set of 0 to 40 matrices of one ``case``; shapes n x k with n, k <= 16."""
+    count = int(rng.integers(0, 41))
+    n, k = (int(v) for v in rng.integers(0, 17, 2))
+    if case == "mixed-shapes":
+        return [_random_complex(rng, tuple(rng.integers(0, 17, 2))) for _ in range(count)]
+    if case == "rank-one":
+        # ||M|| = ||M||_F: the Frobenius bound is tight, so it never rules a member out
+        return [np.outer(_random_complex(rng, n), _random_complex(rng, k)) for _ in range(count)]
+    mats = [10.0 ** rng.uniform(-2, 2) * _random_complex(rng, (n, k)) for _ in range(count)]
+    if case == "equal-frobenius":
+        mats = [m / nk._fro(m) if m.size else m for m in mats]
+    if case == "dominant" and mats:
+        mats[rng.integers(count)] *= 1e4
+    if case in ("scale-1e150", "scale-1e-150"):
+        mats = [float(case[6:]) * m for m in mats]
+    return mats
+
+
+NORM_SET_CASES = ["general", "mixed-shapes", "rank-one", "equal-frobenius", "dominant",
+                  "scale-1e150", "scale-1e-150"]
+
+
+@pytest.mark.parametrize("case", NORM_SET_CASES)
+def test_worst_norm_is_the_running_max_bit_for_bit(case):
+    rng = np.random.default_rng(NORM_SET_CASES.index(case))
+    for _ in range(300):
+        mats = _norm_set(rng, case)
+        want = _running_max(mats)
+        got = nk._worst_norm(iter(mats))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (case, got, want)
+
+
+def test_worst_norm_fails_and_skips_as_the_loop_does():
+    rng = np.random.default_rng(3)
+    mats = [_random_complex(rng, (4, 4)) for _ in range(5)]
+    assert nk._worst_norm([]) == 0.0
+    # an infinite entry makes the SVD norm nan, which the running max drops
+    with_inf = mats + [np.full((4, 4), np.inf, dtype=complex)]
+    assert nk._worst_norm(with_inf) == _running_max(with_inf)
+    # a nan entry makes the SVD raise, however small the other entries are
+    with_nan = [1e3 * m for m in mats] + [np.full((4, 4), np.nan, dtype=complex)]
+    for fn in (nk._worst_norm, _running_max):
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(with_nan)
+
+
+def test_one_dominant_member_costs_one_svd(monkeypatch):
+    rng = np.random.default_rng(5)
+    mats = [_random_complex(rng, (8, 8)) for _ in range(30)]
+    mats[17] = 100.0 * mats[17]
+    want = _running_max(mats)
+    calls = []
+
+    def op_norm(m, _real=nk.op_norm):
+        calls.append(m)
+        return _real(m)
+
+    monkeypatch.setattr(nk, "op_norm", op_norm)
+    assert nk._worst_norm(mats) == want
+    assert len(calls) == 1 and calls[0] is mats[17]
+
+
+#: upper bound on the ``op_norm`` calls of one ``verify --suite all`` run of the
+#: files below that are not gate fallbacks; an SVD per printed sample makes
+#: about 150 and 200
+RESIDUAL_OP_NORM_BOUND = 20
+
+
+@pytest.mark.parametrize("kind", ["isometric", "symmetric"])
+def test_verify_run_takes_few_residual_svds(kind, tmp_path, monkeypatch):
+    path = tmp_path / f"{kind}16.json"
+    cli.save_instance(cli.generate_instance(kind, 16, 8, 2, seed=16), path)
+    gates = {fn.__code__ for fn in (nk._norm_within, nk.is_hermitian, nk.check_contraction)}
+    counts = {"gate": 0, "other": 0}
+
+    def op_norm(m, _real=nk.op_norm):
+        counts["gate" if sys._getframe(1).f_code in gates else "other"] += 1
+        return _real(m)
+
+    monkeypatch.setattr(nk, "op_norm", op_norm)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", str(path), "--suite", "all"]) == 0
+    assert 0 < counts["other"] <= RESIDUAL_OP_NORM_BOUND, counts

@@ -186,6 +186,37 @@ def forbidden_lift(a: SymmetricOp, z: complex, x: PartialMap,
     return (a.action @ coords - np.conj(z) * psi + z * phi) / (z - np.conj(z))
 
 
+@dataclass(frozen=True)
+class _NeumannFrame:
+    """What the Neumann formula and its admissibility tests read of (operator,
+    anchor z, parameter source frame) alone; the per-value work reads these
+    arrays."""
+
+    src_in_defect: bool  # the source frame passes the off-defect gate at z
+    off_dst: CMatrix  # E - P, P the projection onto the defect space at conj(z)
+    forbidden: CMatrix  # the forbidden operator, extended by zero
+    common: CMatrix  # frame of the source meet the forbidden operator's domain
+    cayley: CMatrix  # images of the Cayley transform's domain frame
+    frame: CMatrix  # the Cayley domain frame followed by the source frame
+
+
+def _neumann_frame(a: SymmetricOp, z: complex, src: Subspace) -> _NeumannFrame:
+    """The ``_NeumannFrame`` of a source frame, memoized on ``a`` by the
+    frame's shape and bytes, so a second frame of the same subspace gets its own."""
+    def build():
+        n = a.ambient_dim
+        pair_z, pair_zbar = parameter_frames(a, z)
+        x = forbidden_operator(a, z)
+        u = cayley_transform(a, z)
+        off_src = (np.eye(n) - nk.projector(pair_z.n_space)) @ src.basis
+        # the meet can be the caller's own frame, which the memo must not freeze
+        common = nk.intersect(src, x.src).basis.copy(order="K")
+        return _NeumannFrame(nk._norm_within(off_src, nk.STRUCT_GATE),
+                             np.eye(n) - nk.projector(pair_zbar.n_space), x.ambient(),
+                             common, u.action, np.hstack([u.dom.basis, src.basis]))
+    return _memoized(a, ("neumann", src.basis.shape, src.basis.tobytes()), z, build)
+
+
 def is_admissible(a: SymmetricOp, z: complex, t: PartialMap) -> bool:
     """Whether a defect-space parameter admits an extension (two independent tests).
 
@@ -193,12 +224,13 @@ def is_admissible(a: SymmetricOp, z: complex, t: PartialMap) -> bool:
     the common domain.  Test (b): the direct sum of the Cayley transform and
     the parameter has no eigenvalue 1 on its domain.  Both verdicts must agree.
     """
-    x = forbidden_operator(a, z)
-    common = nk.intersect(t.src, x.src)
-    verdict_a, _ = nk.injective((t.ambient() - x.ambient()) @ common.basis)
-    u = cayley_transform(a, z)
-    frame = np.hstack([u.dom.basis, t.src.basis])
-    verdict_b, _ = nk.injective(np.hstack([u.action, t.matrix]) - frame)
+    return _admissible(t, _neumann_frame(a, z, t.src))
+
+
+def _admissible(t: PartialMap, fixed: _NeumannFrame) -> bool:
+    """``is_admissible`` of ``t`` on the arrays of its source frame."""
+    verdict_a, _ = nk.injective((t.ambient() - fixed.forbidden) @ fixed.common)
+    verdict_b, _ = nk.injective(np.hstack([fixed.cayley, t.matrix]) - fixed.frame)
     if verdict_a != verdict_b:
         raise InternalDisagreement(
             f"kernel test says {verdict_a}, fixed-point test says {verdict_b}")
@@ -225,17 +257,23 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
     symmetric extensions, strict contractions give dissipative (Im z < 0) or
     accumulative (Im z > 0) ones.
     """
+    return _neumann_extension(a, z, t, validate, decided=False)
+
+
+def _neumann_extension(a: SymmetricOp, z: complex, t: PartialMap, validate: bool,
+                       decided: bool) -> tuple[PartialOperator, ExtensionClass]:
+    """``neumann_extension``; a ``decided`` parameter, one whose norm the family
+    that gave it has already checked, skips the parameter-norm check."""
     require_nonreal(z)
-    n = a.ambient_dim
-    pair_z, pair_zbar = parameter_frames(a, z)
-    if t.dim:
-        off_src = (np.eye(n) - nk.projector(pair_z.n_space)) @ t.src.basis
-        off_dst = (np.eye(n) - nk.projector(pair_zbar.n_space)) @ t.matrix
-        if not all(nk._norm_within(off, nk.STRUCT_GATE) for off in (off_src, off_dst)):
-            raise ValueError("parameter does not map between the defect subspaces")
-    nk.check_contraction(t.matrix, "parameter norm")
-    if not is_admissible(a, z, t):
+    fixed = _neumann_frame(a, z, t.src)
+    if t.dim and not (fixed.src_in_defect
+                      and nk._norm_within(fixed.off_dst @ t.matrix, nk.STRUCT_GATE)):
+        raise ValueError("parameter does not map between the defect subspaces")
+    if not decided:
+        nk.check_contraction(t.matrix, "parameter norm")
+    if not _admissible(t, fixed):
         raise NotAdmissible("parameter")
+    pair_z, pair_zbar = parameter_frames(a, z)
     isometric = t.is_isometric()
 
     ext = PartialOperator(*_transport(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import NotContraction, NumericalFailure, PointExcluded, Singular, SingularSystem
-from .extensions import (ExitSpaceModel, PartialMap, BlockParam,
+from .extensions import (ExitSpaceModel, PartialMap, BlockParam, _neumann_extension,
                          compressed_extension, forbidden_operator, is_admissible,
                          neumann_extension, neumann_parameter)
 from .numkernel import CMatrix, Subspace
@@ -47,9 +47,14 @@ class ContractionParam:
     ``form`` is one of ``('constant', K)``, ``('affine', K0, K1)`` or
     ``('callback', fn)``; coordinates refer to the ``src`` and ``dst`` frames
     (``in_frames`` rewrites them into others).  Constant and affine matrices
-    are checked for shape and norm at construction, callbacks on every call.
+    are checked for norm and shape at construction, by every constructor.
     When ``anchor`` is set, the family lives on the half-plane of the anchor
     and the affine variable is the image of the point under the fractional map.
+
+    Every value a call returns is a decided contraction: a constant one and
+    an affine one inside the closed unit disk of the variable by the checks
+    at construction, any other on the call.  Formulas that evaluate a family
+    do not check its values again.
     """
 
     src: Subspace
@@ -58,22 +63,25 @@ class ContractionParam:
     anchor: complex | None = None
 
     def __post_init__(self):
+        if self.kind == "callback":
+            return
+        if self.kind == "constant":
+            nk.check_contraction(self.form[1], "constant parameter norm")
+        else:
+            nk.check_contraction(nk.op_norm(self.form[1]) + nk.op_norm(self.form[2]),
+                                 "affine parameter norm bound")
         shape = (self.dst.dim, self.src.dim)
-        for k in self.form[1:] if self.kind != "callback" else ():
+        for k in self.form[1:]:
             if k.shape != shape:
                 raise ValueError(f"parameter shape {k.shape} does not match defects {shape}")
 
     @classmethod
     def constant(cls, src: Subspace, dst: Subspace, k, anchor: complex | None = None):
-        k = nk.as_cmatrix(k)
-        nk.check_contraction(k, "constant parameter norm")
-        return cls(src, dst, ("constant", k), anchor)
+        return cls(src, dst, ("constant", nk.as_cmatrix(k)), anchor)
 
     @classmethod
     def affine(cls, src: Subspace, dst: Subspace, k0, k1, anchor: complex | None = None):
-        k0, k1 = nk.as_cmatrix(k0), nk.as_cmatrix(k1)
-        nk.check_contraction(nk.op_norm(k0) + nk.op_norm(k1), "affine parameter norm bound")
-        return cls(src, dst, ("affine", k0, k1), anchor)
+        return cls(src, dst, ("affine", nk.as_cmatrix(k0), nk.as_cmatrix(k1)), anchor)
 
     @classmethod
     def callback(cls, src: Subspace, dst: Subspace, fn: Callable[[complex], CMatrix],
@@ -92,7 +100,11 @@ class ContractionParam:
             return self.form[1]
         if self.kind == "affine":
             w = self.disk_variable(point)
-            return self.form[1] + w * self.form[2]
+            value = self.form[1] + w * self.form[2]
+            if abs(w) > 1.0:
+                # outside the disk where the norm bound decides the value
+                nk.check_contraction(value, "affine parameter value norm")
+            return value
         value = nk.as_cmatrix(self.form[1](point))
         if value.shape != (self.dst.dim, self.src.dim):
             raise ValueError(f"callback returned shape {value.shape}")
@@ -449,7 +461,8 @@ def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex
     On the anchor half-plane the extension is built from the parameter value
     at lam; on the conjugate half-plane from the adjoint value at conj(lam),
     anchored at conj(anchor), between the parameter's frames swapped.
-    Admissibility is checked at the evaluated point.
+    Admissibility is checked at the evaluated point; the value's norm is the
+    one the family decided.
     """
     lam = complex(lam)
     n = a.ambient_dim
@@ -462,7 +475,7 @@ def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex
         value, z = param(np.conj(lam)).conj().T, np.conj(anchor)
         src, dst = param.dst, param.src
     tmap = PartialMap.from_coords(src, dst, value)
-    ext, _ = neumann_extension(a, z, tmap, validate=validate)
+    ext, _ = _neumann_extension(a, z, tmap, validate, decided=True)
     if not ext.is_everywhere_defined:
         raise NumericalFailure("full-defect parameter produced a partial extension")
     return _inv_at(lam, ext.full_matrix() - lam * np.eye(n))
@@ -485,6 +498,27 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
     reassembled from the result and compared against the family value.
     """
     lam = complex(lam)
+    coords, r_val = _defect_block(r, a, anchor, lam)
+    # far out on a ray the formation of the core loses |lam| * eps relative
+    # accuracy to cancellation, so the contraction gate grows with the point
+    gate = max(1e-10, 256.0 * np.finfo(float).eps * abs(lam))
+    if not nk._norm_within(coords, 1.0 + gate):
+        raise NotContraction(f"defect block has norm {nk.op_norm(coords):.6f}")
+    if validate:
+        n = a.ambient_dim
+        src, dst = (pair.n_space for pair in parameter_frames(a, anchor))
+        tmap = PartialMap.from_coords(src, dst, coords)
+        ext, _ = neumann_extension(a, anchor, tmap, validate=False)
+        res = (ext.full_matrix() - lam * np.eye(n)) @ r_val - np.eye(n)
+        if not nk._norm_within(res, 1e-9, ext.full_matrix() @ r_val):
+            raise NumericalFailure(f"reassembled extension differs ({nk.op_norm(res):.3e})")
+    return coords
+
+
+def _defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex,
+                  lam: complex) -> tuple[CMatrix, CMatrix]:
+    """``defect_block`` without its contraction gate and reassembly, with the
+    resolvent value it read."""
     if not same_halfplane(lam, anchor):
         raise PointExcluded("evaluation point must share the anchor half-plane")
     n = a.ambient_dim
@@ -502,26 +536,17 @@ def defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex, lam: comple
     if not nk._norm_within(leak, 1e-8, image):
         raise NumericalFailure(
             f"defect block leaks out of the target space ({nk.op_norm(leak):.3e})")
-    # far out on a ray the formation of the core loses |lam| * eps relative
-    # accuracy to cancellation, so the contraction gate grows with the point
-    gate = max(1e-10, 256.0 * np.finfo(float).eps * abs(lam))
-    if not nk._norm_within(coords, 1.0 + gate):
-        raise NotContraction(f"defect block has norm {nk.op_norm(coords):.6f}")
-    if validate:
-        tmap = PartialMap.from_coords(src, dst, coords)
-        ext, _ = neumann_extension(a, anchor, tmap, validate=False)
-        res = (ext.full_matrix() - lam * np.eye(n)) @ r_val - np.eye(n)
-        if not nk._norm_within(res, 1e-9, ext.full_matrix() @ r_val):
-            raise NumericalFailure(f"reassembled extension differs ({nk.op_norm(res):.3e})")
-    return coords
+    return coords, r_val
 
 
 def defect_block_family(r: ResolventModel, a: SymmetricOp, anchor: complex) -> ContractionParam:
-    """The defect-block family of a resolvent model as an evaluable parameter."""
+    """The defect-block family of a resolvent model as an evaluable parameter.
+
+    Its values are decided by the family's strict contraction check, which
+    implies the relaxed gate ``defect_block`` applies far out on a ray."""
     src, dst = (pair.n_space for pair in parameter_frames(a, anchor))
     return ContractionParam.callback(
-        src, dst, lambda lam: defect_block(r, a, anchor, lam, validate=False),
-        anchor=anchor)
+        src, dst, lambda lam: _defect_block(r, a, anchor, complex(lam))[0], anchor=anchor)
 
 
 def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex) -> CMatrix:

@@ -300,7 +300,9 @@ def test_off_defect_gate_matches_its_spectral_form(side, spread, shift, monkeypa
         t = g.PartialMap(nk.orthonormalize(src.basis + tilt), 0.5 * dst.basis)
     else:
         t = g.PartialMap(src, 0.5 * dst.basis + tilt)
-    fast, spectral = _both_forms(monkeypatch, g.neumann_extension, a, 1j, t)
+    # a fresh operator per form: the source gate's verdict is memoized on it
+    fast, spectral = _both_forms(
+        monkeypatch, lambda: g.neumann_extension(type(a)(a.dom, a.action), 1j, t))
     assert fast == spectral
 
 
@@ -462,6 +464,24 @@ def test_worst_norm_fails_and_skips_as_the_loop_does():
     for fn in (nk._worst_norm, _running_max):
         with pytest.raises(np.linalg.LinAlgError):
             fn(with_nan)
+
+
+def test_op_norm_is_numpys_spectral_norm_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(1500):
+        shape = tuple(int(v) for v in rng.integers(1, 33, 2))
+        m = 10.0 ** rng.choice([-150, -5, 0, 5, 150]) * _random_complex(rng, shape)
+        for view in (m, m.T, m.real, m[::2, ::3]):
+            want = np.linalg.norm(view, 2)
+            assert np.float64(nk.op_norm(view)).tobytes() == np.float64(want).tobytes()
+    # a nan entry raises in both; an infinite one gives nan in both
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = np.nan
+    for fn in (nk.op_norm, lambda x: np.linalg.norm(x, 2)):
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(m)
+    m[1, 2] = np.inf
+    assert np.isnan(nk.op_norm(m)) and np.isnan(np.linalg.norm(m, 2))
 
 
 def test_one_dominant_member_costs_one_svd(monkeypatch):

@@ -1,6 +1,7 @@
-"""Anchor-level values (defect frames, forbidden operator, forward transforms)
-are built once per (operator, anchor, policy in force), shared read-only, and equal bit
-for bit to a fresh build."""
+"""Anchor-level values (defect frames, forbidden operator, forward transforms,
+and the Neumann formula's arrays per parameter source frame) are built once per
+(operator, anchor, policy in force), shared read-only, and equal bit for bit to
+a fresh build; a formula point decides its parameter value's contraction once."""
 
 import numpy as np
 import pytest
@@ -118,6 +119,16 @@ def test_memoized_values_are_read_only():
         g.cayley_transform(a, 1j).action[0, 0] = 1.0
 
 
+def test_neumann_memo_leaves_the_callers_frame_writable():
+    # a trivial domain: the forbidden operator is defined on the whole defect
+    # space, so a smaller source frame is its own meet with that domain
+    a = g.SymmetricOp.null(3)
+    src, dst = (pair.n_space for pair in operators.parameter_frames(a, 1j))
+    own = g.Subspace(src.basis[:, :2].copy())
+    assert g.is_admissible(a, 1j, g.PartialMap(own, 0.5 * dst.basis[:, :2]))
+    assert own.basis.flags.writeable
+
+
 def test_failed_build_is_not_stored():
     op = g.SymmetricOp.null(2)
     attempts = []
@@ -133,3 +144,110 @@ def test_failed_build_is_not_stored():
     value = operators._memoized(op, "probe", 1j, build)
     assert operators._memoized(op, "probe", 1j, build) is value
     assert attempts == [0, 1]
+
+
+def _neumann_entries(op):
+    return [key for key in op._memo if isinstance(key[0], tuple) and key[0][0] == "neumann"]
+
+
+def _spy_point(monkeypatch):
+    """Counts of ``nk.intersect`` and ``nk.projector`` calls, and of contraction
+    decisions: norm gates at a bound of 1 or more."""
+    counts = {"intersect": 0, "projector": 0, "decisions": 0}
+    for name in ("intersect", "projector"):
+        def spy(*args, _name=name, _real=getattr(nk, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(nk, name, spy)
+
+    def norm_within(m, bound, scale=None, _real=nk._norm_within):
+        counts["decisions"] += bound >= 1.0
+        return _real(m, bound, scale)
+    monkeypatch.setattr(nk, "_norm_within", norm_within)
+    return counts
+
+
+def test_warm_formula_point_builds_nothing_and_decides_its_value_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    anchor = 1j
+    a, model, _ = random_symmetric_model(rng, n_max=8, m_max=8, anchor=anchor)
+    assert (a.ambient_dim, a.dom.dim) == (8, 5)
+    oracle = g.ResolventModel.from_dilation(model)
+    family = defect_block_family(oracle, a, anchor)
+    for lam in (1.0 + 2.0j, -0.5 - 1.0j):
+        g.extension_resolvent(a, family, anchor, lam, validate=False)
+        with monkeypatch.context() as patch:
+            counts = _spy_point(patch)
+            value = g.extension_resolvent(a, family, anchor, 2.0 * lam, validate=False)
+        assert counts == {"intersect": 0, "projector": 0, "decisions": 1}
+        assert nk.op_norm(value - oracle(2.0 * lam)) < 1e-9
+
+
+def test_second_frame_of_a_source_gets_its_own_entry():
+    rng = np.random.default_rng(808)
+    anchor = 0.5 + 1j
+    a, model, _ = random_symmetric_model(rng, n_max=6, m_max=4, anchor=anchor)
+    oracle = g.ResolventModel.from_dilation(model)
+    warm = _fresh(a)
+    family = defect_block_family(oracle, warm, anchor)
+    assert family.src.dim > 1
+    turn = nk.haar_unitary(family.src.dim, rng)
+    rotated = family.in_frames(g.Subspace(family.src.basis @ turn),
+                               g.Subspace(family.dst.basis @ turn.conj().T))
+    lam = 1.0 + 2.0j
+    g.extension_resolvent(warm, family, anchor, lam)
+    assert len(_neumann_entries(warm)) == 1
+    got = g.extension_resolvent(warm, rotated, anchor, lam)
+    assert len(_neumann_entries(warm)) == 2
+    assert np.array_equal(got, g.extension_resolvent(_fresh(a), rotated, anchor, lam))
+    assert nk.op_norm(got - oracle(lam)) < 1e-9
+
+
+def test_off_defect_source_raises_on_every_call(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = g.SymmetricOp.random(5, 2, rng)
+    src, dst = (pair.n_space for pair in operators.parameter_frames(a, 1j))
+    away = nk.orthogonal_complement(src).basis
+    t = g.PartialMap(nk.orthonormalize(src.basis[:, :2] + 0.1 * away), 0.5 * dst.basis[:, :2])
+    with pytest.raises(ValueError, match="does not map between the defect subspaces"):
+        g.neumann_extension(a, 1j, t)
+    # the stored verdict decides the later calls
+    with monkeypatch.context() as patch:
+        counts = _spy_point(patch)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not map between the defect subspaces"):
+                g.neumann_extension(a, 1j, t)
+    assert counts["intersect"] == counts["projector"] == 0
+
+
+def _cayley_model(a, z, c):
+    """A resolvent model whose Cayley transform at z sends the defect frame at
+    z to ``dst c``: its defect block is ``c`` at every point."""
+    src, dst = (pair.n_space for pair in operators.parameter_frames(a, z))
+    n = a.ambient_dim
+    w = dst.basis @ c @ src.basis.conj().T + 2.0 * (np.eye(n) - nk.projector(src))
+    y_inv = np.linalg.inv((w - np.eye(n)) / (z - np.conj(z)))
+    return g.ResolventModel(a, lambda lam, b=False: np.linalg.inv(y_inv - (lam - z) * np.eye(n)))
+
+
+def test_family_values_beyond_the_slack_still_raise():
+    rng = np.random.default_rng(3)
+    a = g.SymmetricOp.random(6, 4, rng)
+    z = 1j
+    turn = nk.haar_unitary(2, rng)
+    over = defect_block_family(_cayley_model(a, z, 1.5 * turn), a, z)
+    with pytest.raises(g.NotContraction, match="callback value norm 1.500000 exceeds 1"):
+        g.extension_resolvent(a, over, z, 2j, validate=False)
+    with pytest.raises(g.NotContraction, match="callback value norm 1.500000 exceeds 1"):
+        g.extension_resolvent(a, over, z, -2j, validate=False)
+    # between the family's strict gate and defect_block's relaxed one far out on
+    # the ray: the family raises, defect_block returns the block
+    r = _cayley_model(a, z, (1.0 + 1e-8) * turn)
+    far = 1e6j
+    assert 1.0 + 1e-8 < 1.0 + 256.0 * nk._EPS * abs(far)
+    coords = g.defect_block(r, a, z, far, validate=False)
+    assert abs(nk.op_norm(coords) - (1.0 + 1e-8)) < 1e-9
+    with pytest.raises(g.NotContraction, match="defect block has norm"):
+        g.defect_block(r, a, z, 2j, validate=False)
+    with pytest.raises(g.NotContraction, match="callback value norm"):
+        defect_block_family(r, a, z)(far)

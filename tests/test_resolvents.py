@@ -272,6 +272,24 @@ def test_affine_parameter_value_limit_and_bound(rng):
         g.ContractionParam.affine(src, dst, k0, 3.0 * k1, 1j)
     with pytest.raises(ValueError, match=r"shape \(2, 1\) does not match defects \(2, 2\)"):
         g.ContractionParam.affine(src, dst, k0, k1[:, :1], 1j)
+    # without an anchor the variable is the point itself, and outside the
+    # unit disk the norm bound no longer decides the value
+    unanchored = g.ContractionParam.affine(src, dst, 0.5 * k0, 2.0 * k1)
+    np.testing.assert_array_equal(unanchored(0.9j), 0.5 * k0 + 0.9j * (2.0 * k1))
+    with pytest.raises(g.NotContraction, match="affine parameter value norm"):
+        unanchored(3.0)
+
+
+def test_dataclass_constructor_checks_the_norm(rng):
+    a = g.SymmetricOp.random(3, 1, rng)
+    src = g.defect_subspaces(a, 1j).n_space
+    dst = g.defect_subspaces(a, -1j).n_space
+    k = nk.haar_unitary(2, rng)
+    with pytest.raises(g.NotContraction, match="constant parameter norm"):
+        g.ContractionParam(src, dst, ("constant", 2.0 * k))
+    with pytest.raises(g.NotContraction, match="affine parameter norm bound"):
+        g.ContractionParam(src, dst, ("affine", 0.75 * k, 0.5 * k), 1j)
+    assert g.ContractionParam(src, dst, ("affine", 0.5 * k, 0.5 * k), 1j)(2j).shape == (2, 2)
 
 
 # ---------------------------------------------------------------- dilation

@@ -247,8 +247,8 @@ class ExtensionClass:
     self_adjoint: bool
 
 
-def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
-                      validate: bool = True) -> tuple[PartialOperator, ExtensionClass]:
+def neumann_extension(a: SymmetricOp, z: complex,
+                      t: PartialMap) -> tuple[PartialOperator, ExtensionClass]:
     """Extension with domain D(A) + (T - E) D(T) acting by f + T psi - psi
     -> A f + z T psi - conj(z) psi.
 
@@ -257,20 +257,19 @@ def neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
     symmetric extensions, strict contractions give dissipative (Im z < 0) or
     accumulative (Im z > 0) ones.
     """
-    return _neumann_extension(a, z, t, validate, decided=False)
+    nk.check_contraction(t.matrix, "parameter norm")
+    return _neumann_extension(a, z, t, True)
 
 
-def _neumann_extension(a: SymmetricOp, z: complex, t: PartialMap, validate: bool,
-                       decided: bool) -> tuple[PartialOperator, ExtensionClass]:
-    """``neumann_extension``; a ``decided`` parameter, one whose norm the family
-    that gave it has already checked, skips the parameter-norm check."""
+def _neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
+                       validate: bool) -> tuple[PartialOperator, ExtensionClass]:
+    """``neumann_extension`` of a decided contraction; ``validate`` runs the
+    reassembly tail."""
     require_nonreal(z)
     fixed = _neumann_frame(a, z, t.src)
     if t.dim and not (fixed.src_in_defect
                       and nk._norm_within(fixed.off_dst @ t.matrix, nk.STRUCT_GATE)):
         raise ValueError("parameter does not map between the defect subspaces")
-    if not decided:
-        nk.check_contraction(t.matrix, "parameter norm")
     if not _admissible(t, fixed):
         raise NotAdmissible("parameter")
     pair_z, pair_zbar = parameter_frames(a, z)
@@ -511,7 +510,7 @@ def _exit_space_extension(a: SymmetricOp, exit_op: SymmetricOp, z: complex, bloc
     iso_block = BlockParam(block.t11, block.t12, block.t21, block.t22, isometry=True) \
         if not block.isometry else block
     try:
-        ext, cls = neumann_extension(frames.coupled, z, tmap)
+        ext, cls = _neumann_extension(frames.coupled, z, tmap, True)
     except NotAdmissible as exc:
         raise InternalDisagreement("block passed the split tests but fails jointly") from exc
     if not cls.self_adjoint or not ext.is_everywhere_defined:

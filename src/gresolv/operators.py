@@ -270,20 +270,25 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex) -> CMatrix:
     At z0 = 0 the result is the direct sum of V and the parameter; otherwise
     the direct sum is formed for the transformed isometry and pulled back.
     """
-    if abs(z0) >= 1:
-        raise ValueError("anchor must lie in the open unit disk")
     c = nk.as_cmatrix(c)
-    n = v.ambient_dim
     src, dst = (pair.n_space for pair in parameter_frames(v, z0))
     if c.shape != (dst.dim, src.dim):
         raise ValueError(f"parameter shape {c.shape} does not match defects ({dst.dim}, {src.dim})")
     nk.check_contraction(c, "parameter norm")
+    return _orthogonal_extension(v, c, z0)
+
+
+def _orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex) -> CMatrix:
+    """``orthogonal_extension`` of a decided contraction of the defects' shape."""
+    if abs(z0) >= 1:
+        raise ValueError("anchor must lie in the open unit disk")
+    src, dst = (pair.n_space for pair in parameter_frames(v, z0))
     vz = v if z0 == 0 else moebius_transform(v, z0)
     plus = _direct_sum(vz, c, src, dst)
     if z0 == 0:
         nk.check_contraction(plus, "extension norm")
         return plus
-    eye = np.eye(n)
+    eye = np.eye(v.ambient_dim)
     inv_plus = nk.inv(eye + z0 * plus)
     v_c = (plus + np.conj(z0) * eye) @ inv_plus
     # pull-back identities tying the direct sum to the extension

@@ -16,10 +16,10 @@ import numpy as np
 from . import numkernel as nk
 from .errors import (InternalDisagreement, NotRegularType, NumericalFailure,
                      PointExcluded, PreconditionViolated, SingularSystem)
-from .extensions import ExitSpaceModel, PartialMap, neumann_extension
+from .extensions import ExitSpaceModel, PartialMap, _neumann_extension
 from .numkernel import CMatrix, Subspace
 from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
-                        _memoized, defect_subspaces, is_regular_type, orthogonal_extension,
+                        _memoized, _orthogonal_extension, defect_subspaces, is_regular_type,
                         parameter_frames, range_frame, require_nonreal)
 from .resolvents import ContractionParam, ResolventModel
 
@@ -336,9 +336,9 @@ def in_space_atoms(op: PartialOperator, param: ContractionParam,
         if not nk.is_unitary(value, nk.STRUCT_GATE):
             return None
         if side.kind == "circle":
-            big = orthogonal_extension(op, value, side.anchor)
+            big = _orthogonal_extension(op, value, side.anchor)
             return spectral_measure(ExitSpaceModel(big, op))
-        ext, cls = neumann_extension(op, side.anchor, PartialMap.from_coords(src, dst, value))
+        ext, cls = _neumann_extension(op, side.anchor, PartialMap(src, dst.basis @ value), True)
         return spectral_measure(ExitSpaceModel(ext.full_matrix(), op)) if cls.self_adjoint else None
     return _memoized(op, ("atoms", value.shape, value.tobytes()), side.anchor, build)
 

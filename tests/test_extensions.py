@@ -96,6 +96,16 @@ def test_neumann_rejects_forbidden_direction():
         g.neumann_extension(a, 1j, coord_map(a, 1j, [[1.0]]))
 
 
+def test_neumann_entry_decides_the_norm_before_the_core_runs():
+    a = g.SymmetricOp.null(1)
+    expanding = coord_map(a, 1j, [[2.0]])
+    for anchor in (1j, 1.0):  # the real anchor fails the core's first test
+        with pytest.raises(g.NotContraction, match="parameter norm 2.000000 exceeds 1"):
+            g.neumann_extension(a, anchor, expanding)
+    with pytest.raises(ValueError, match="must be non-real"):
+        g.neumann_extension(a, 1.0, coord_map(a, 1j, [[-1.0]]))
+
+
 @pytest.mark.parametrize("phi", [0.31, 1.1, np.pi / 2, 2.5, 4.0, 6.0])
 def test_neumann_fixture_rotation_family(phi):
     # oracle: the scalar identity i (t + 1)/(t - 1) = cot(phi/2) for t = e^{i phi}

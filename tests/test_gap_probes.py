@@ -152,3 +152,45 @@ def test_eigenvalue_on_the_domain_is_not_certified(kind):
     param = g.ContractionParam.constant(n0, ninf, np.eye(ninf.dim, n0.dim))
     with pytest.raises(g.NotRegularType):
         g.gap_report(op, param, ANCHORS[kind][0], region, 16)
+
+
+def test_uncertified_regular_region_tests_every_refinement_probe(monkeypatch):
+    # one grid point at the middle of a long arc ending 0.01 short of the
+    # eigenvalue: the chord is shorter than the arc, so the Lipschitz floor
+    # fails, while the region is regular
+    at = 2.5
+    v = _eigen_operator(g.IsometryOp, 4, 2, at)
+    region = g.ArcSpec("circle", at - 2.5 + 1e-3, at - 0.01)
+    side = _Side.of(v, 0.0)
+    grid = region.grid(1)
+    assert _require_regular_region(v, region, grid, _grid_bounds(side, grid)) is False
+    probes = []
+
+    def spy(self, point, _real=_Side.regular_bound):
+        probes.append(point)
+        return _real(self, point)
+    monkeypatch.setattr(_Side, "regular_bound", spy)
+    n0, ninf = side.src.n_space, side.dst.n_space
+    param = g.ContractionParam.constant(n0, ninf, np.eye(ninf.dim, n0.dim))
+    report = g.gap_report(v, param, 0.0, region, 1)
+    assert report.analytic and report.atoms_in_region is False
+    assert report.refined_min_margin > spectral.GAP_GATE
+    # the grid point and each golden-section probe of the refinement
+    assert len(probes) > 20
+
+
+def test_constant_callback_on_the_line_gives_the_constant_margins():
+    rng = np.random.default_rng(21)
+    a = g.SymmetricOp.random(5, 3, rng)
+    side = _Side.of(a, 1j)
+    n0, nbar = side.src.n_space, side.dst.n_space
+    k = nk.haar_unitary(n0.dim, rng)
+    region = g.ArcSpec("line", -1.5, 2.0)
+    constant = g.gap_report(a, g.ContractionParam.constant(n0, nbar, k), 1j, region, 8)
+    callback = g.gap_report(a, g.ContractionParam.callback(n0, nbar, lambda lam: k), 1j,
+                            region, 8)
+    assert callback.records == constant.records
+    assert callback.refined_min_margin == constant.refined_min_margin
+    assert all(r.continuation_jump == 0.0 for r in callback.records)
+    assert constant.exact_param and not callback.exact_param
+    assert callback.analytic == constant.analytic and callback.atoms is None

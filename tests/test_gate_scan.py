@@ -9,8 +9,14 @@ or gives a value that is printed or stored.  So does a running maximum over
 ``op_norm``: the worst residual of a sample set is ``_worst_norm`` of its
 residuals, which takes an SVD only where a Frobenius bound cannot rule a
 sample out.  The one exemption is the boundedness probe's relative residual,
-a maximum of ratios, each of which needs its own exact norm."""
+a maximum of ratios, each of which needs its own exact norm.
 
+A contraction is decided by whatever makes the value: a ``ContractionParam``,
+a ``BlockParam``, or the public entries ``neumann_extension`` and
+``orthogonal_extension`` for raw input.  The private cores these call never
+decide it again; ``_orthogonal_extension`` checks only the matrix it built."""
+
+import ast
 import re
 from pathlib import Path
 
@@ -31,3 +37,27 @@ def test_structural_tests_are_not_written_by_hand():
              if any(pattern.search(line) for pattern in HAND_WRITTEN)
              and (path.name, line.strip()) not in EXEMPT]
     assert found == [], f"hand-written structural tests: {found}"
+
+
+#: the functions outside ``numkernel`` that may call ``check_contraction``
+DECIDERS = {"ContractionParam.__post_init__", "ContractionParam.__call__",
+            "BlockParam.__post_init__", "neumann_extension", "orthogonal_extension",
+            "_orthogonal_extension"}
+
+
+def _calls_by_function(tree, name):
+    """Qualified names of the functions of a module that call ``name``."""
+    scopes = [("", tree.body)] + [(f"{node.name}.", node.body)
+                                  for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [f"{prefix}{fn.name}" for prefix, body in scopes
+            for fn in body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == name]
+
+
+def test_contractions_are_decided_by_what_makes_the_value():
+    callers = [f"{path.name}:{fn}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "numkernel.py"
+               for fn in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")),
+                                            "check_contraction")]
+    assert callers and {c.split(":")[1] for c in callers} <= DECIDERS, callers

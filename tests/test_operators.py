@@ -168,6 +168,11 @@ def test_orthogonal_extension_unitary_parameter(rng):
 def test_orthogonal_extension_rejects_expansion():
     with pytest.raises(g.NotContraction):
         g.orthogonal_extension(g.IsometryOp.null(1), np.array([[1.5]]), 0.0)
+    # the entry decides the parameter; the core it calls checks the anchor
+    with pytest.raises(g.NotContraction):
+        g.orthogonal_extension(g.IsometryOp.null(1), np.array([[1.5]]), 1.5)
+    with pytest.raises(ValueError, match="anchor must lie in the open unit disk"):
+        g.orthogonal_extension(g.IsometryOp.null(1), np.array([[0.5]]), 1.5)
 
 
 def test_classify_signs_scalars():

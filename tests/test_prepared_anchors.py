@@ -183,6 +183,26 @@ def test_warm_formula_point_builds_nothing_and_decides_its_value_once(monkeypatc
         assert nk.op_norm(value - oracle(2.0 * lam)) < 1e-9
 
 
+def test_warm_anchored_point_checks_only_the_extension_it_built(monkeypatch):
+    rng = np.random.default_rng(11)
+    v, z0 = g.IsometryOp.random(6, 3, rng), 0.3 - 0.2j
+    src, dst = (pair.n_space for pair in operators.parameter_frames(v, z0))
+    k = 0.5 * nk.haar_unitary(3, rng)
+    constant = g.ContractionParam.constant(src, dst, k)
+    callback = g.ContractionParam.callback(src, dst, lambda zeta: k * zeta)
+    for family, expect in ((constant, ["extension norm"]),
+                           (callback, ["callback value norm", "extension norm"])):
+        value = g.anchored_resolvent(v, family, z0, 0.4j)
+        messages = []
+        with monkeypatch.context() as patch:
+            def spy(m, what, _real=nk.check_contraction):
+                messages.append(what)
+                return _real(m, what)
+            patch.setattr(nk, "check_contraction", spy)
+            assert np.array_equal(g.anchored_resolvent(v, family, z0, 0.4j), value)
+        assert messages == expect
+
+
 def test_second_frame_of_a_source_gets_its_own_entry():
     rng = np.random.default_rng(808)
     anchor = 0.5 + 1j
@@ -247,6 +267,9 @@ def test_family_values_beyond_the_slack_still_raise():
     assert 1.0 + 1e-8 < 1.0 + 256.0 * nk._EPS * abs(far)
     coords = g.defect_block(r, a, z, far, validate=False)
     assert abs(nk.op_norm(coords) - (1.0 + 1e-8)) < 1e-9
+    # the reassembly takes the block as decided: only its residual gate judges it
+    with pytest.raises(g.NumericalFailure, match="reassembled extension differs"):
+        g.defect_block(r, a, z, far)
     with pytest.raises(g.NotContraction, match="defect block has norm"):
         g.defect_block(r, a, z, 2j, validate=False)
     with pytest.raises(g.NotContraction, match="callback value norm"):

@@ -295,7 +295,7 @@ def test_gap_suite_builds_one_in_space_extension(monkeypatch, tmp_path):
     """The two gap reports and the region choice of ``verify --suite gap`` share
     one in-space extension: its atoms are kept on the operator, read-only."""
     built = []
-    for name in ("orthogonal_extension", "neumann_extension"):
+    for name in ("_orthogonal_extension", "_neumann_extension"):
         def spy(*args, _real=getattr(g.spectral, name), **kwargs):
             built.append(args)
             return _real(*args, **kwargs)

@@ -3,10 +3,9 @@ symmetric operators: extension parametrizations, admissibility calculus,
 characteristic functions, spectral measures and gap criteria, each checked
 against a direct dilation oracle."""
 
-from .errors import (FixedPointObstruction, GresolvError, InternalDisagreement,
-                     KindMismatch, NotAdmissible, NotContraction, NotRegularType,
-                     NumericalFailure, PointExcluded, PreconditionViolated, Singular,
-                     SingularSystem, T22NotAdmissible)
+from .errors import (FixedPointObstruction, GresolvError, KindMismatch, NotAdmissible,
+                     NotContraction, NotRegularType, NumericalFailure, PointExcluded,
+                     PreconditionViolated, Singular, SingularSystem, T22NotAdmissible)
 from .numkernel import (CMatrix, DEFAULT_TOL, Subspace, TolPolicy, eig_normal,
                         intersect, orthogonal_complement, orthonormalize,
                         projector, solve, tolerance)

@@ -57,10 +57,6 @@ class T22NotAdmissible(NotAdmissible):
         super().__init__("t22", message or "exit-exit block not admissible")
 
 
-class InternalDisagreement(GresolvError):
-    """Two independent routes to the same verdict disagreed beyond tolerance."""
-
-
 class NotRegularType(GresolvError):
     """A point required to be of regular type is in the approximate point spectrum."""
 

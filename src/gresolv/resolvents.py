@@ -105,10 +105,15 @@ class ContractionParam:
                 # outside the disk where the norm bound decides the value
                 nk.check_contraction(value, "affine parameter value norm")
             return value
+        value = self._callback_value(point)
+        nk.check_contraction(value, "callback value norm")
+        return value
+
+    def _callback_value(self, point: complex) -> CMatrix:
+        """The callback's value at a point, checked for shape only."""
         value = nk.as_cmatrix(self.form[1](point))
         if value.shape != (self.dst.dim, self.src.dim):
             raise ValueError(f"callback returned shape {value.shape}")
-        nk.check_contraction(value, "callback value norm")
         return value
 
     def in_frames(self, src: Subspace, dst: Subspace) -> "ContractionParam":
@@ -121,7 +126,9 @@ class ContractionParam:
         if not all(nk.is_unitary(c, nk.STRUCT_GATE) for c in (from_src, into_dst)):
             raise ValueError("the frames span other subspaces than the parameter's")
         if self.kind == "callback":
-            return self.callback(src, dst, lambda p: into_dst @ self(p) @ from_src, self.anchor)
+            # the new family's call decides the rewritten value
+            raw = self._callback_value
+            return self.callback(src, dst, lambda p: into_dst @ raw(p) @ from_src, self.anchor)
         coords = [into_dst @ k @ from_src for k in self.form[1:]]
         return getattr(self, self.kind)(src, dst, *coords, self.anchor)
 

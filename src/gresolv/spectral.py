@@ -3,8 +3,8 @@
 The spectral measure of a model is the compression of the eigenprojections of
 its big operator; a gap (lacuna) is an open arc of the circle or interval of
 the line that carries no atom.  The criteria here decide gaps from the
-parameter side and cross-check against the atom side whenever an in-space
-extension is available.
+parameter side, and report the atom side beside the verdict whenever an
+in-space extension is available.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel as nk
-from .errors import (InternalDisagreement, NotRegularType, NumericalFailure,
-                     PointExcluded, PreconditionViolated, SingularSystem)
+from .errors import (NotRegularType, NumericalFailure, PointExcluded, PreconditionViolated,
+                     SingularSystem)
 from .extensions import ExitSpaceModel, PartialMap, _neumann_extension
 from .numkernel import CMatrix, Subspace
 from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
@@ -78,6 +78,8 @@ class ArcSpec:
     def __post_init__(self):
         if self.kind not in ("circle", "line"):
             raise ValueError(f"unknown region kind {self.kind!r}")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ValueError(f"region ({self.lo}, {self.hi}) has a non-finite bound")
         if not self.lo < self.hi:
             raise ValueError("region must be nonempty")
         if self.kind == "circle" and not (0 <= self.lo and self.hi < 2 * np.pi):
@@ -271,7 +273,8 @@ def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex) -> GapCriteria:
     1/zeta is an eigenvalue of the direct sum exactly when the difference with
     the comparison map has a kernel; the direct sum maps onto the space exactly
     when the difference is onto and the shifted range covers the operator range.
-    The eigen verdict is cross-checked against the direct spectrum.
+    The distance from 1/zeta to the spectrum of the direct sum is reported
+    beside the verdict, not compared with it.
     """
     zeta = complex(zeta)
     c = nk.as_cmatrix(c)
@@ -285,15 +288,8 @@ def gap_criteria(v: IsometryOp, c: CMatrix, zeta: complex) -> GapCriteria:
     cover_margin = side.covering(zeta)
     covers = cover_margin > GAP_GATE
 
-    # independent eigenvalue test of the direct sum
-    full = _direct_sum(v, c, n0, ninf)
-    target = 1.0 / zeta
-    eigs = np.linalg.eigvals(full)
-    dist = float(np.min(np.abs(eigs - target))) if eigs.size else np.inf
-    direct = dist <= nk.EIG_MERGE_GAP
-    if direct != eigen:
-        raise InternalDisagreement(
-            f"kernel margin {margin:.3e} vs spectrum distance {dist:.3e}")
+    eigs = np.linalg.eigvals(_direct_sum(v, c, n0, ninf))
+    dist = float(np.min(np.abs(eigs - 1.0 / zeta))) if eigs.size else np.inf
     return GapCriteria(eigen, bool(not eigen and covers), {
         "kernel_margin": margin,
         "cover_margin": cover_margin,
@@ -350,8 +346,8 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
     Per grid point the continued parameter is checked for unitarity and for an
     invertibility margin against the comparison map; the margin function is
     then refined between grid points.  The verdict says the region is free of
-    atoms.  For constant unitary parameters the in-space extension provides the
-    atom-side ground truth and the verdicts are cross-checked.
+    atoms.  For constant unitary parameters the report also carries the atoms
+    of the in-space extension and whether one lies in the region.
     """
     side = _Side.of(op, complex(anchor))
     param = param.in_frames(side.src.n_space, side.dst.n_space)
@@ -392,12 +388,8 @@ def gap_report(op: PartialOperator, param: ContractionParam, anchor: complex,
     analytic = bool(refined > GAP_GATE and unit_ok and cont_ok)
 
     atoms = in_space_atoms(op, param, anchor)
-    atoms_inside = None
-    if atoms is not None:
-        atoms_inside = any(region.contains(loc) for loc, _ in atoms.atoms)
-        if atoms_inside == analytic:
-            raise InternalDisagreement(
-                f"margin verdict {analytic} vs atoms in region {atoms_inside}")
+    atoms_inside = None if atoms is None else \
+        any(region.contains(loc) for loc, _ in atoms.atoms)
     return GapReport(region, tuple(records), refined, analytic,
                      param.kind in ("constant", "affine"), atoms, atoms_inside)
 
@@ -540,7 +532,7 @@ def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex) -> Eigenvec
     Returns None when 1/zeta is not an eigenvalue.  Otherwise the eigenvector
     lies in the defect space at zeta, the operator carries its domain shadow to
     1/zeta times the range shadow, and the parameter does the same between the
-    defect complements.
+    defect complements; the residuals of these three identities are returned.
     """
     zeta = complex(zeta)
     c = nk.as_cmatrix(c)
@@ -562,9 +554,6 @@ def eigen_vector_structure(v: IsometryOp, c: CMatrix, zeta: complex) -> Eigenvec
         v.ambient_partial() @ (p_m0 @ vec) - target * (p_minf @ vec)))
     par_res = float(np.linalg.norm(
         ninf.basis @ c @ (n0.basis.conj().T @ vec) - target * (nk.projector(ninf) @ vec)))
-    checks = (defect_res, dom_res, par_res)
-    if max(checks) > 1e-9 * max(1.0, float(np.linalg.norm(vec))):
-        raise InternalDisagreement(f"shadow identities violated: {checks}")
     return EigenvectorData(target, vec, defect_res, dom_res, par_res)
 
 

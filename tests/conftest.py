@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gresolv as g
+import gresolv.numkernel as nk
 from gresolv.extensions import block_param_from_map, exit_frames
 
 
@@ -61,6 +62,21 @@ def random_symmetric_model(rng, n_max=8, m_max=8, anchor=1j, dense_ok=False,
         block = block_param_from_map(tmap, frames, isometry=True)
         model = g.exit_space_extension(a, m, anchor, block, exit_op=e_op)
         return a, model, block
+
+
+def near_identity(rng, k, eps):
+    """A random k x k unitary exp(i eps H / ||H||) with H Hermitian: it is
+    within eps of the identity in norm."""
+    h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    w, q = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (q * np.exp(1j * eps * w / np.max(np.abs(w)))) @ q.conj().T
+
+
+def fixed_point_free(a, z, t):
+    """The fixed-point form of admissibility: the direct sum of the Cayley
+    transform at z and the parameter ``t`` has no eigenvalue 1 on its domain."""
+    u = g.cayley_transform(a, z)
+    return nk.injective(np.hstack([u.action, t.matrix]) - np.hstack([u.dom.basis, t.src.basis]))[0]
 
 
 def zeta_samples():

@@ -17,7 +17,7 @@ from gresolv.fixtures import flip_dilation_isometric, flip_dilation_symmetric
 from gresolv.resolvents import (DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES,
                                 defect_block_family, membership_quantity,
                                 recover_anchored_parameter, recovered_parameter_family)
-from tests.conftest import random_isometric_model, random_symmetric_model
+from tests.conftest import fixed_point_free, random_isometric_model, random_symmetric_model
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -213,13 +213,7 @@ def test_criterion_7_gap_criteria_agreement():
         ninf = g.defect_subspaces(v, g.INFINITY).n_space
         full = v.ambient_partial() + ninf.basis @ c @ n0.basis.conj().T
         direct = bool(np.min(np.abs(np.linalg.eigvals(full) - 1.0 / zeta)) <= 1e-8)
-        try:
-            crit = g.gap_criteria(v, c, zeta)
-        except g.InternalDisagreement:
-            disagreements += 1
-            trials += 1
-            continue
-        if crit.eigen != direct:
+        if g.gap_criteria(v, c, zeta).eigen != direct:
             disagreements += 1
         trials += 1
 
@@ -261,15 +255,9 @@ def test_criterion_7_gap_criteria_agreement():
                 rep = g.gap_report(a, param, 1j, g.ArcSpec("line", lo, hi), 48)
         except (g.NotRegularType, g.PreconditionViolated):
             continue
-        except g.InternalDisagreement:
+        if rep.atoms_in_region is not None and rep.analytic == rep.atoms_in_region:
             verdict_mismatch += 1
-            checked += 1
-            continue
-        if rep.atoms_in_region is None or rep.analytic == (not rep.atoms_in_region):
-            checked += 1
-        else:
-            verdict_mismatch += 1
-            checked += 1
+        checked += 1
 
     report(7, "gap criteria",
            disagreements == 0 and verdict_mismatch == 0,
@@ -331,8 +319,7 @@ def test_criterion_8_neumann_classification_and_admissibility():
             x = g.forbidden_operator(a, 1j)
             coords = dst.basis.conj().T @ x.ambient() @ src.basis  # exact collision
         tmap = g.PartialMap.from_coords(src, dst, coords)
-        g.is_admissible(a, 1j, tmap)  # raises InternalDisagreement on mismatch
-        agreements += 1
+        agreements += g.is_admissible(a, 1j, tmap) == fixed_point_free(a, 1j, tmap)
 
     report(8, "generalized Neumann classification",
            mismatches == 0 and agreements == 500,

@@ -434,3 +434,65 @@ def test_verify_gap_suite_with_a_single_atom(tmp_path):
                                           inst.parameter_anchor())
         np.testing.assert_allclose(atoms.locations(), [atom], atol=1e-3)
         assert cli.main(["verify", str(path), "--suite", "gap"]) == 0
+
+
+def test_gap_next_to_an_atom_reports_both_sides(tmp_path, capsys):
+    # a region starting just above the first atom: the margin there is below
+    # the gate, no atom lies in the region, and the report prints both facts
+    for kind, offset, margin in (("isometric", 1e-9, "2.814849e-09"),
+                                 ("symmetric", 1e-7, "4.220507e-10")):
+        path = tmp_path / f"{kind}.json"
+        inst = cli.generate_instance(kind, 4, 2, 1, seed=3)
+        cli.save_instance(inst, path)
+        atoms = g.spectral.in_space_atoms(inst.operator, inst.parameter_family(),
+                                          inst.parameter_anchor())
+        lo = atoms.atoms[0][0] + offset
+        assert cli.main(["gap", str(path), "--region", repr(lo), repr(lo + 0.5),
+                         "--grid", "16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "verdict: not analytic"
+        assert lines[2] == f"refined min margin: {margin}"
+        assert lines[3] == "atoms in region: none"
+
+
+def _gap_file(tmp_path, kind="isometric"):
+    path = tmp_path / f"{kind}.json"
+    cli.save_instance(cli.generate_instance(kind, 4, 2, 1, seed=3), path)
+    return path
+
+
+def _edited_file(tmp_path, **fields):
+    path = _gap_file(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}), encoding="utf-8")
+    return path
+
+
+#: command lines that reach a raise of the input checks, each with the message
+#: its exit 2 prints; each command line is built in the test's temporary directory
+REJECTED = {
+    "region-non-finite": (lambda tmp: ["gap", str(_gap_file(tmp)), "--region", "0", "inf"],
+                          "region (0.0, inf) has a non-finite bound"),
+    "region-nan": (lambda tmp: ["gap", str(_gap_file(tmp, "symmetric")), "--region", "nan", "1"],
+                   "region (nan, 1.0) has a non-finite bound"),
+    "region-empty": (lambda tmp: ["gap", str(_gap_file(tmp)), "--region", "2", "1"],
+                     "region must be nonempty"),
+    "arc-past-2pi": (lambda tmp: ["gap", str(_gap_file(tmp)), "--region", "0", "7"],
+                     "circle arcs are specified with 0 <= lo < hi < 2pi"),
+    "unknown-kind": (lambda tmp: ["verify", str(_edited_file(tmp, kind="foo"))],
+                     "unknown instance kind 'foo'"),
+    "gen-out-missing-dir": (lambda tmp: ["gen", "--kind", "isometric", "--n", "2", "--d", "1",
+                                         "--out", str(tmp / "missing" / "inst.json")],
+                            "No such file or directory"),
+    "verify-out-missing-dir": (lambda tmp: ["verify", str(_gap_file(tmp)), "--suite", "gap",
+                                            "--out", str(tmp / "missing" / "report.json")],
+                               "No such file or directory"),
+    "spectrum-without-exit": (lambda tmp: ["spectrum", str(_edited_file(tmp, exit=None))],
+                              "instance carries no exit block"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_rejected_input_exits_2_with_its_message(tmp_path, capsys, case):
+    argv, message = REJECTED[case]
+    assert cli.main(argv(tmp_path)) == 2
+    assert message in capsys.readouterr().err

@@ -8,7 +8,7 @@ import gresolv.numkernel as nk
 from gresolv.extensions import (assemble_block_map, block_param_from_map,
                                 exit_frames, forbidden_lift, neumann_parameter)
 from gresolv.fixtures import flip_dilation_symmetric, partial_identity_symmetric
-from tests.conftest import random_symmetric_model
+from tests.conftest import fixed_point_free, near_identity, random_symmetric_model
 
 
 def defects(a, z):
@@ -81,6 +81,27 @@ def test_admissibility_null_operator():
     a = g.SymmetricOp.null(1)
     assert not g.is_admissible(a, 1j, coord_map(a, 1j, [[1.0]]))
     assert g.is_admissible(a, 1j, coord_map(a, 1j, [[-1.0]]))
+
+
+def test_admissibility_near_the_forbidden_operator_is_a_verdict():
+    # the forbidden operator's coordinates turned by 1e-8 to 1e-10: the two
+    # forms of admissibility straddle their threshold, and the kernel test decides
+    rng = np.random.default_rng(11)
+    verdicts = []
+    while len(verdicts) < 120:
+        n = int(rng.integers(2, 7))
+        a = g.SymmetricOp.random(n, int(rng.integers(0, n)), rng)
+        src, dst = defects(a, 1j)
+        x = g.forbidden_operator(a, 1j)
+        if x.dim == 0 or src.dim == 0:
+            continue
+        coords = dst.basis.conj().T @ x.ambient() @ src.basis
+        for eps in (1e-8, 1e-9, 1e-10):
+            t = g.PartialMap.from_coords(src, dst, coords @ near_identity(rng, src.dim, eps))
+            verdicts.append((g.is_admissible(a, 1j, t), fixed_point_free(a, 1j, t)))
+    assert all(isinstance(kernel_test, bool) for kernel_test, _ in verdicts)
+    split = sum(kernel_test != fixed_point for kernel_test, fixed_point in verdicts)
+    assert 0 < split < len(verdicts) / 4
 
 
 def test_neumann_scalar_self_adjoint():
@@ -283,6 +304,21 @@ def test_compressed_extension_self_adjoint_inner(rng):
     block = block_param_from_map(tmap, frames, isometry=True)
     model = g.exit_space_extension(a, 2, 1j, block)
     np.testing.assert_allclose(g.compressed_extension(model).full_matrix(), h, atol=1e-9)
+
+
+def test_compression_is_the_extension_of_the_compressed_parameter(rng):
+    # the upper-left block of a Hermitian model is the Neumann extension of its
+    # compressed parameter, for the null exit operator and for a random one
+    for exit_dim in (None, 2, 3):
+        for _ in range(6):
+            exit_op = None if exit_dim is None else \
+                g.SymmetricOp.random(exit_dim, int(rng.integers(0, exit_dim)), rng)
+            a, model, _ = random_symmetric_model(rng, n_max=6, m_max=4, exit_op=exit_op)
+            comp = g.compressed_extension(model).full_matrix()
+            phi = g.compressed_parameter(a, model.anchor, model.block, model.exit_op)
+            ext, _ = g.neumann_extension(a, model.anchor, phi)
+            assert ext.is_everywhere_defined
+            assert nk.op_norm(comp - ext.full_matrix()) <= 1e-9 * max(1.0, nk.op_norm(comp))
 
 
 def test_block_admissibility_transfers(rng):

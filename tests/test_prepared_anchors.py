@@ -203,6 +203,29 @@ def test_warm_anchored_point_checks_only_the_extension_it_built(monkeypatch):
         assert messages == expect
 
 
+def test_callback_in_other_frames_is_decided_once_per_value(monkeypatch):
+    # a callback whose source frame is turned by a Haar unitary: the family
+    # rewritten into the anchor's frames decides each value once
+    rng = np.random.default_rng(11)
+    v, z0 = g.IsometryOp.random(6, 3, rng), 0.3 - 0.2j
+    src, dst = (pair.n_space for pair in operators.parameter_frames(v, z0))
+    k = 0.5 * nk.haar_unitary(3, rng)
+    turned = g.Subspace(src.basis @ nk.haar_unitary(3, rng))
+    family = g.ContractionParam.callback(turned, dst, lambda zeta: k * zeta)
+    value = g.anchored_resolvent(v, family, z0, 0.4j)
+    messages = []
+    with monkeypatch.context() as patch:
+        def spy(m, what, _real=nk.check_contraction):
+            messages.append(what)
+            return _real(m, what)
+        patch.setattr(nk, "check_contraction", spy)
+        assert np.array_equal(g.anchored_resolvent(v, family, z0, 0.4j), value)
+    assert messages == ["callback value norm", "extension norm"]
+    wrong = g.ContractionParam.callback(turned, dst, lambda zeta: np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"callback returned shape \(3, 2\)"):
+        g.anchored_resolvent(v, wrong, z0, 0.4j)
+
+
 def test_second_frame_of_a_source_gets_its_own_entry():
     rng = np.random.default_rng(808)
     anchor = 0.5 + 1j

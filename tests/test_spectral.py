@@ -10,7 +10,7 @@ from gresolv.fixtures import (flip_dilation_isometric, flip_dilation_symmetric,
                               partial_identity_isometry, partial_identity_symmetric)
 from gresolv.resolvents import DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES
 from gresolv.spectral import resolvent_boundedness_probe
-from tests.conftest import random_isometric_model
+from tests.conftest import near_identity, random_isometric_model
 
 
 def test_spectral_measure_circle_fixture():
@@ -132,7 +132,7 @@ def test_gap_criteria_kernel_when_parameter_matches_map():
 
 
 def test_gap_criteria_agreement_random(rng):
-    # boolean agreement with the direct spectrum on random unitary parameters
+    # the kernel verdict agrees with the direct spectrum on random unitary parameters
     for _ in range(50):
         n = int(rng.integers(2, 9))
         d = int(rng.integers(0, n))
@@ -142,8 +142,28 @@ def test_gap_criteria_agreement_random(rng):
         ok, _ = g.is_regular_type(v, 1.0 / zeta)
         if not ok:
             continue
-        crit = g.gap_criteria(v, c, zeta)  # raises on disagreement
+        crit = g.gap_criteria(v, c, zeta)
+        assert crit.eigen == (crit.detail["spectrum_distance"] <= nk.EIG_MERGE_GAP)
         assert crit.eigen == (not crit.range)
+
+
+def test_gap_criteria_gives_a_verdict_near_the_comparison_map():
+    # parameters 3e-9 to 1e-7 from the comparison map: the kernel margin and
+    # the spectrum distance straddle their gates, and the kernel margin decides
+    rng = np.random.default_rng(11)
+    crits = []
+    while len(crits) < 240:
+        n = int(rng.integers(2, 7))
+        v = g.IsometryOp.random(n, int(rng.integers(0, n)), rng)
+        zeta = complex(np.exp(2j * np.pi * rng.random()))
+        if not g.is_regular_type(v, 1.0 / zeta)[0]:
+            continue
+        w = g.comparison_map(v, zeta).coords(g.defect_subspaces(v, g.INFINITY).n_space)
+        for eps in (3e-9, 1e-8, 3e-8, 1e-7):
+            crits.append(g.gap_criteria(v, w @ near_identity(rng, w.shape[1], eps), zeta))
+    assert all(c.eigen == (c.detail["kernel_margin"] <= g.spectral.GAP_GATE) for c in crits)
+    split = [c for c in crits if c.eigen != (c.detail["spectrum_distance"] <= nk.EIG_MERGE_GAP)]
+    assert 0 < len(split) < len(crits) / 4
 
 
 def test_gap_report_fixture_arc():
@@ -359,7 +379,10 @@ def test_eigen_vector_structure_random(rng):
         if not ok:
             continue
         data = g.eigen_vector_structure(v, c, zeta)
-        assert data is not None  # identities asserted inside
+        assert data is not None
+        gate = 1e-9 * max(1.0, float(np.linalg.norm(data.vector)))
+        assert max(data.defect_residual, data.shadow_residual_dom,
+                   data.shadow_residual_param) <= gate
         hits += 1
     assert hits >= 10
 

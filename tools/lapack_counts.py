@@ -9,8 +9,9 @@ pass over the same pool is then counted, and each count is printed per op:
 
 - the numpy calls ``svd`` (the one inside ``np.linalg.norm(m, 2)`` included),
   ``inv``, ``solve`` and ``lstsq``;
-- the kernel calls ``nk.op_norm``, ``nk.intersect``, ``nk.projector`` and
-  ``nk.check_contraction``.
+- the kernel calls ``nk.op_norm``, ``nk.intersect``, ``nk.projector``,
+  ``nk.check_contraction`` and ``nk.injective`` (each rank test, the
+  admissibility verdict's among them).
 
 The counts cover the whole op as the benchmark runs it, its own check against
 the oracle included.  They are deterministic for a given seed and pool, so two
@@ -41,7 +42,7 @@ from perfbench import workloads  # noqa: E402
 #: its implementation module, where ``norm`` looks up ``svd``
 NUMPY_CALLS = ("svd", "inv", "solve", "lstsq")
 #: kernel functions counted, under every name a gresolv module binds them to
-KERNEL_CALLS = ("op_norm", "intersect", "projector", "check_contraction")
+KERNEL_CALLS = ("op_norm", "intersect", "projector", "check_contraction", "injective")
 COLUMNS = NUMPY_CALLS + KERNEL_CALLS
 
 

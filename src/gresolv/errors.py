@@ -41,8 +41,11 @@ class FixedPointObstruction(GresolvError):
 class NotAdmissible(GresolvError):
     """A parameter collides with the forbidden operator, so no extension exists.
 
-    ``which`` identifies the failing block when the check ran on a composite
-    parameter ('parameter', 'phi' or 't22').
+    ``which`` names the failing piece: 'parameter' for a parameter given
+    whole.  For the block of an exit-space model the joint build decides, and
+    the elimination of the exit block names the piece: 't22' (raised as
+    ``T22NotAdmissible``) when the exit-exit block collides with the exit
+    forbidden operator, 'phi' otherwise.
     """
 
     def __init__(self, which: str = "parameter", message: str = ""):

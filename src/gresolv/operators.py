@@ -279,26 +279,20 @@ def orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex) -> CMatrix:
 
 
 def _orthogonal_extension(v: IsometryOp, c: CMatrix, z0: complex) -> CMatrix:
-    """``orthogonal_extension`` of a decided contraction of the defects' shape."""
+    """``orthogonal_extension`` of a decided contraction of the defects' shape.
+
+    The direct sum of the transformed isometry and a contraction is a
+    contraction, and the fractional map pulls it back through a certified
+    inverse, so the value is not checked again."""
     if abs(z0) >= 1:
         raise ValueError("anchor must lie in the open unit disk")
     src, dst = (pair.n_space for pair in parameter_frames(v, z0))
     vz = v if z0 == 0 else moebius_transform(v, z0)
     plus = _direct_sum(vz, c, src, dst)
     if z0 == 0:
-        nk.check_contraction(plus, "extension norm")
         return plus
     eye = np.eye(v.ambient_dim)
-    inv_plus = nk.inv(eye + z0 * plus)
-    v_c = (plus + np.conj(z0) * eye) @ inv_plus
-    # pull-back identities tying the direct sum to the extension
-    residuals = (v_c - (eye / z0 + (abs(z0) ** 2 - 1) / z0 * inv_plus),
-                 plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c)))
-    if not all(nk._norm_within(res, 1e-10, v_c) for res in residuals):
-        raise NumericalFailure("extension identities violated "
-                               f"(residual {nk._worst_norm(residuals):.3e})")
-    nk.check_contraction(v_c, "extension norm")
-    return v_c
+    return (plus + np.conj(z0) * eye) @ nk.inv(eye + z0 * plus)
 
 
 def classify_signs(op: PartialOperator) -> str:

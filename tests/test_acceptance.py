@@ -158,6 +158,9 @@ def test_criterion_6_boundary_limit():
 
     def check_model(a, model):
         rep = g.boundary_parameter(a, model, anchor)
+        # the compression is a self-adjoint extension of a, so its parameter
+        # is unitary and admissible
+        assert rep.direct.is_isometric() and g.is_admissible(a, anchor, rep.direct)
         errs = rep.limit_errors
         if errs.size == 0:
             return True, 0.0

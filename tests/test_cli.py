@@ -261,6 +261,10 @@ MALFORMED = {
     "seed": lambda obj: {**obj, "seed": [1]},
     "exit.dim": lambda obj: {**obj, "exit": {**obj["exit"], "dim": [1]}},
     "exit.anchor": lambda obj: {**obj, "exit": {**obj["exit"], "anchor": [[0.0], 1.0]}},
+    "exit.anchor=[0.0]": lambda obj: {**obj, "exit": {**obj["exit"], "anchor": [0.0]}},
+    # a JSON integer that no float holds
+    "exit.anchor=[10**400, 0]": lambda obj: {
+        **obj, "exit": {**obj["exit"], "anchor": [10**400, 0]}},
     # dimension fields that disagree with the arrays; the key names the field
     # the error must name, then the edit
     "ambient_dim=5": lambda obj: {**obj, "ambient_dim": 5},
@@ -467,6 +471,20 @@ def _edited_file(tmp_path, **fields):
     return path
 
 
+def _file_without(tmp_path, field):
+    path = _gap_file(tmp_path)
+    obj = json.loads(path.read_text())
+    del obj[field]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+#: a constant parameter of the n = 4, d = 2 file whose value, half the
+#: identity, is no unitary, so it has no in-space extension
+_HALF = {"form": "constant", "value": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+         "z0": [0.0, 0.0]}
+
+
 #: command lines that reach a raise of the input checks, each with the message
 #: its exit 2 prints; each command line is built in the test's temporary directory
 REJECTED = {
@@ -488,6 +506,19 @@ REJECTED = {
                                "No such file or directory"),
     "spectrum-without-exit": (lambda tmp: ["spectrum", str(_edited_file(tmp, exit=None))],
                               "instance carries no exit block"),
+    "missing-field": (lambda tmp: ["verify", str(_file_without(tmp, "domain_basis"))],
+                      "missing instance field 'domain_basis'"),
+    "matrix-not-rows": (lambda tmp: ["verify", str(_edited_file(tmp, domain_basis=5))],
+                        "bad domain_basis encoding"),
+    "gen-negative-exit": (lambda tmp: ["gen", "--kind", "isometric", "--n", "2", "--d", "1",
+                                       "--m", "-1", "--out", str(tmp / "inst.json")],
+                          "exit dimension must be nonnegative"),
+    "gap-without-parameter": (lambda tmp: ["gap", str(_edited_file(tmp, parameter=None)),
+                                           "--region", "0.3", "2.5"],
+                              "gap reports need a parameter block in the instance"),
+    "gap-suite-contraction": (lambda tmp: ["verify", str(_edited_file(tmp, parameter=_HALF)),
+                                           "--suite", "gap"],
+                              "gap checks need a unitary parameter with an in-space extension"),
 }
 
 

@@ -229,6 +229,67 @@ def test_exit_space_rejects_identity_block():
         g.exit_space_extension(a, 1, 1j, eye_block)
 
 
+def test_exit_space_names_the_colliding_piece():
+    # the joint build rejects both blocks; the elimination of the exit block
+    # names t22 when it collides with the exit forbidden operator, else phi
+    a, z = g.SymmetricOp.null(1), 1j
+    one, zero = np.eye(1, dtype=complex), np.zeros((1, 1))
+    with pytest.raises(g.T22NotAdmissible):
+        g.exit_space_extension(a, 1, z, g.BlockParam(one, zero, zero, one))
+    swap = g.BlockParam(zero, one, one, zero)
+    np.testing.assert_allclose(g.compressed_parameter(a, z, swap).matrix, one)
+    np.testing.assert_allclose(g.forbidden_operator(a, z).ambient(), one)
+    with pytest.raises(g.NotAdmissible) as exc:
+        g.exit_space_extension(a, 1, z, swap)
+    assert exc.value.which == "phi" and not isinstance(exc.value, g.T22NotAdmissible)
+
+
+def _frames_of_null(n, m):
+    return exit_frames(g.SymmetricOp.null(n), g.SymmetricOp.null(m), 1j)
+
+
+def _block(rows, cols, split=1):
+    """A zero ``BlockParam`` of the given shape, cut after ``split`` rows and columns."""
+    t = np.zeros((rows, cols))
+    return g.BlockParam(t[:split, :split], t[:split, split:], t[split:, :split], t[split:, split:])
+
+
+#: (call, message) of each input check of the extension layer that raises ``ValueError``
+REJECTED = [
+    (lambda: g.PartialMap.from_coords(g.Subspace.full(2), g.Subspace.full(2), np.eye(3)),
+     r"coordinate shape \(3, 3\) does not match frames"),
+    (lambda: g.BlockParam(*[np.zeros((1, 1))] * 4, isometry=True),
+     "assembled block is not isometric"),
+    (lambda: g.ExitSpaceModel(np.zeros((2, 3)), g.SymmetricOp.null(2)),
+     "big operator has the wrong shape"),
+    (lambda: g.ExitSpaceModel(np.array([[0.0, 1.0], [0.0, 0.0]]), g.SymmetricOp.null(2)),
+     "big operator fails its hermitian test"),
+    (lambda: assemble_block_map(_frames_of_null(1, 1), _block(3, 3)),
+     r"block shape \(3, 3\) does not match defect frames \(2, 2\)"),
+    (lambda: g.exit_space_extension(g.SymmetricOp.null(1), 2, 1j, _block(2, 2),
+                                    exit_op=g.SymmetricOp.null(1)),
+     "exit operator dimension mismatch"),
+    (lambda: g.exit_space_extension(g.SymmetricOp.null(1), 1, 1j, _block(2, 1)),
+     "self-adjoint models need a unitary block between full defect spaces"),
+    # a block built without the isometry flag is decided by BlockParam's test
+    (lambda: g.exit_space_extension(g.SymmetricOp.null(1), 1, 1j, _block(2, 2)),
+     "assembled block is not isometric"),
+    (lambda: g.build_admissible_isometry(g.SymmetricOp.null(2), 1j, g.Subspace.full(2),
+                                         g.Subspace.empty(2), 0),
+     "source and destination subspaces must have equal dimension"),
+    (lambda: g.unitary_exit_extension(g.IsometryOp.null(1), 1),
+     "either a block or a generator must be given"),
+    (lambda: g.unitary_exit_extension(g.IsometryOp.null(1), 1, np.eye(3)),
+     r"block shape \(3, 3\) does not match defects \(2\)"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTED)
+def test_extension_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_exit_space_self_adjoint_inner_operator(rng):
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (h + h.conj().T) / 2.0
@@ -273,9 +334,10 @@ def test_compressed_parameter_rejects_unit_t22():
 
 
 def test_compressed_isometric_when_block_isometric(rng):
-    a, model, block = random_symmetric_model(rng, n_max=5, m_max=4)
-    phi = g.compressed_parameter(a, model.anchor, model.block)
-    assert phi.is_isometric(1e-10)
+    for _ in range(10):
+        a, model, block = random_symmetric_model(rng, n_max=5, m_max=4)
+        phi = g.compressed_parameter(a, model.anchor, model.block)
+        assert phi.is_isometric(1e-10)
 
 
 def test_compressed_extension_fixture():

@@ -14,7 +14,7 @@ a maximum of ratios, each of which needs its own exact norm.
 A contraction is decided by whatever makes the value: a ``ContractionParam``,
 a ``BlockParam``, or the public entries ``neumann_extension`` and
 ``orthogonal_extension`` for raw input.  The private cores these call never
-decide it again; ``_orthogonal_extension`` checks only the matrix it built."""
+decide it again, nor check the value they build from it."""
 
 import ast
 import re
@@ -41,8 +41,7 @@ def test_structural_tests_are_not_written_by_hand():
 
 #: the functions outside ``numkernel`` that may call ``check_contraction``
 DECIDERS = {"ContractionParam.__post_init__", "ContractionParam.__call__",
-            "BlockParam.__post_init__", "neumann_extension", "orthogonal_extension",
-            "_orthogonal_extension"}
+            "BlockParam.__post_init__", "neumann_extension", "orthogonal_extension"}
 
 
 def _calls_by_function(tree, name):

@@ -99,6 +99,7 @@ def test_eig_unitary_diagonal():
     for lam, proj in pairs:
         expected = np.diag([1.0, 0.0]) if lam == 1j else np.diag([0.0, 1.0])
         np.testing.assert_allclose(proj, expected, atol=1e-12)
+    assert nk.eig_normal(np.zeros((0, 0)), "unitary") == []
 
 
 def test_eig_merges_multiplicity():
@@ -114,6 +115,21 @@ def test_eig_kind_mismatch():
         nk.eig_normal(np.array([[0.0, 1.0], [0.0, 0.0]]), "hermitian")
     with pytest.raises(KindMismatch):
         nk.eig_normal(np.array([[0.5, 0.0], [0.0, 0.5]]), "unitary")
+
+
+#: (call, message) of each input check of the kernel that raises ``ValueError``
+REJECTED = [
+    (lambda: nk.as_cmatrix(np.zeros((2, 2, 2))), "expected a matrix, got ndim=3"),
+    (lambda: nk.intersect(nk.Subspace.full(2), nk.Subspace.full(3)), "ambient dimensions differ"),
+    (lambda: nk.eig_normal(np.zeros((2, 3)), "hermitian"), "eig_normal expects a square matrix"),
+    (lambda: nk.eig_normal(np.eye(2), "normal"), "unknown kind 'normal'"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTED)
+def test_kernel_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_solve_identity_and_diagonal():

@@ -5,6 +5,7 @@ import pytest
 
 import gresolv as g
 import gresolv.numkernel as nk
+from gresolv import operators
 from gresolv.fixtures import partial_identity_symmetric, partial_identity_isometry
 
 
@@ -16,6 +17,7 @@ def test_defects_of_null_operator():
     v = g.IsometryOp.null(1)
     pair = g.defect_subspaces(v, 0.0)
     assert pair.m_space.dim == 0 and pair.n_space.dim == 1
+    assert g.defect_subspaces(v, g.INFINITY).n_space.dim == 1 and repr(g.INFINITY) == "INFINITY"
 
 
 def test_defects_of_fixture_isometry():
@@ -175,6 +177,70 @@ def test_orthogonal_extension_rejects_expansion():
         g.orthogonal_extension(g.IsometryOp.null(1), np.array([[0.5]]), 1.5)
 
 
+def _pull_back_residuals(v, c, z0):
+    """The two identities that tie the anchored value to the direct sum of the
+    transformed isometry and ``c``, with the value."""
+    src, dst = (pair.n_space for pair in operators.parameter_frames(v, z0))
+    plus = operators._direct_sum(g.moebius_transform(v, z0), c, src, dst)
+    eye = np.eye(v.ambient_dim)
+    v_c = g.orthogonal_extension(v, c, z0)
+    return v_c, (v_c - (eye / z0 + (abs(z0) ** 2 - 1) / z0 * nk.inv(eye + z0 * plus)),
+                 plus - (-eye / z0 + (1 - abs(z0) ** 2) / z0 * nk.inv(eye - z0 * v_c)))
+
+
+def test_orthogonal_extension_pull_back_identities(rng):
+    # the identities lose about eps / (1 - |z0|)^2; up to |z0| = 0.99 they hold
+    # at their relative gate of 1e-10
+    for radius in (0.3, 0.9, 0.99):
+        for _ in range(20):
+            n = int(rng.integers(2, 17))
+            d = int(rng.integers(0, n))
+            v = g.IsometryOp.random(n, d, rng)
+            z0 = complex(radius * np.exp(2j * np.pi * rng.random()))
+            c = nk.haar_unitary(n - d, rng) * (0.5 if rng.random() < 0.5 else 1.0)
+            v_c, residuals = _pull_back_residuals(v, c, z0)
+            assert all(nk._norm_within(res, 1e-10, v_c) for res in residuals)
+
+
+def test_orthogonal_extension_near_the_circle_extends_v_and_contracts():
+    # at |z0| = 0.999 the pull-back identities miss their gate on most of these
+    # draws, while the value still extends V and is a contraction
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 17))
+        d = int(rng.integers(0, n))
+        v = g.IsometryOp.random(n, d, rng)
+        z0 = complex(0.999 * np.exp(2j * np.pi * rng.random()))
+        v_c = g.orthogonal_extension(v, nk.haar_unitary(n - d, rng), z0)
+        assert nk.op_norm(v_c @ v.dom.basis - v.action) <= 1e-10
+        assert nk.op_norm(v_c) <= 1.0 + nk.CONTRACTION_SLACK
+
+
+#: (call, error, message) of each input check of the operator layer
+REJECTED = [
+    (lambda: g.PartialOperator(g.Subspace.full(2), np.zeros((2, 1))), ValueError,
+     r"action shape \(2, 1\) does not match domain"),
+    (lambda: g.IsometryOp(g.Subspace.full(2), 2.0 * np.eye(2)), ValueError,
+     "image frame is not orthonormal"),
+    (lambda: g.SymmetricOp(g.Subspace.full(2), np.array([[0.0, 1.0], [0.0, 0.0]])), ValueError,
+     "operator is not symmetric on its domain"),
+    (lambda: g.range_frame(g.SymmetricOp.null(2), g.INFINITY), ValueError,
+     "infinity defect is defined for isometric operators only"),
+    (lambda: g.moebius_transform(g.IsometryOp.null(2), 1.0), ValueError,
+     "transform point must lie in the open unit disk"),
+    (lambda: g.orthogonal_extension(g.IsometryOp.null(2), np.eye(1), 0.0), ValueError,
+     r"parameter shape \(1, 1\) does not match defects \(2, 2\)"),
+    (lambda: g.SymmetricOp.null(2).full_matrix(), ValueError,
+     "operator is not everywhere defined"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTED)
+def test_operator_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_classify_signs_scalars():
     def op_of(value):
         return g.PartialOperator(g.Subspace.full(1), np.array([[value]], dtype=complex))
@@ -182,6 +248,7 @@ def test_classify_signs_scalars():
     assert g.classify_signs(op_of(1j)) == "dissipative"
     assert g.classify_signs(op_of(0.0)) == "symmetric"
     assert g.classify_signs(op_of(-2j)) == "accumulative"
+    assert g.classify_signs(g.PartialOperator.null(1)) == "symmetric"
 
 
 def test_classify_signs_mixed():

@@ -183,15 +183,14 @@ def test_warm_formula_point_builds_nothing_and_decides_its_value_once(monkeypatc
         assert nk.op_norm(value - oracle(2.0 * lam)) < 1e-9
 
 
-def test_warm_anchored_point_checks_only_the_extension_it_built(monkeypatch):
+def test_warm_anchored_point_decides_only_a_callback_value(monkeypatch):
     rng = np.random.default_rng(11)
     v, z0 = g.IsometryOp.random(6, 3, rng), 0.3 - 0.2j
     src, dst = (pair.n_space for pair in operators.parameter_frames(v, z0))
     k = 0.5 * nk.haar_unitary(3, rng)
     constant = g.ContractionParam.constant(src, dst, k)
     callback = g.ContractionParam.callback(src, dst, lambda zeta: k * zeta)
-    for family, expect in ((constant, ["extension norm"]),
-                           (callback, ["callback value norm", "extension norm"])):
+    for family, expect in ((constant, []), (callback, ["callback value norm"])):
         value = g.anchored_resolvent(v, family, z0, 0.4j)
         messages = []
         with monkeypatch.context() as patch:
@@ -220,7 +219,7 @@ def test_callback_in_other_frames_is_decided_once_per_value(monkeypatch):
             return _real(m, what)
         patch.setattr(nk, "check_contraction", spy)
         assert np.array_equal(g.anchored_resolvent(v, family, z0, 0.4j), value)
-    assert messages == ["callback value norm", "extension norm"]
+    assert messages == ["callback value norm"]
     wrong = g.ContractionParam.callback(turned, dst, lambda zeta: np.zeros((3, 2)))
     with pytest.raises(ValueError, match=r"callback returned shape \(3, 2\)"):
         g.anchored_resolvent(v, wrong, z0, 0.4j)

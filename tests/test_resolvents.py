@@ -560,6 +560,19 @@ def test_characteristic_norm_bound_random(rng):
         assert nk.op_norm(value) <= bound + 1e-10
 
 
+def test_characteristic_images_lie_in_the_shifted_range(rng):
+    # psi (lam - z) - (lam - conj(z)) C(lam) psi lies in the range of A - lam E
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        a = g.SymmetricOp.random(n, int(rng.integers(0, n)), rng)
+        lam, anchor = complex(rng.standard_normal(), 0.5 + rng.random()), 1j
+        coords = g.characteristic_function(a, anchor, lam)
+        nz, nzbar = (pair.n_space for pair in g.operators.parameter_frames(a, anchor))
+        probe = (lam - anchor) * nzbar.basis - (lam - np.conj(anchor)) * (nz.basis @ coords)
+        res = probe - nk.projector(g.range_frame(a, lam)) @ probe
+        assert nk._norm_within(res, 1e-9, probe)
+
+
 def test_defect_block_via_char_fixture():
     a, model, anchor, block = flip_dilation_symmetric()
     value = g.defect_block_via_characteristic(block, g.SymmetricOp.null(1), anchor, 2j)
@@ -594,11 +607,15 @@ def test_defect_block_via_char_matches_dilation_with_general_exit(rng):
 
 def test_defect_block_via_char_with_self_adjoint_exit(rng):
     # a densely defined exit operator has no defects: its characteristic
-    # function is the 0 x 0 matrix and the defect block is t11
+    # function is the 0 x 0 matrix and the defect block is t11, as is the
+    # compressed parameter
     for _ in range(5):
         m = int(rng.integers(1, 5))
         exit_op = g.SymmetricOp.random(m, m, rng)
         a, model, block = random_symmetric_model(rng, n_max=6, m_max=4, exit_op=exit_op)
+        phi = g.compressed_parameter(a, model.anchor, block, exit_op)
+        dst = g.defect_subspaces(a, np.conj(model.anchor)).n_space
+        np.testing.assert_allclose(phi.coords(dst), block.t11, atol=1e-12)
         r = g.ResolventModel.from_dilation(model)
         for lam in (2j, 0.5 + 1.2j):
             assert g.characteristic_function(exit_op, model.anchor, lam).shape == (0, 0)
@@ -660,6 +677,18 @@ def test_admissible_class_fixture_family():
     assert verdict and not verdict.exact
 
 
+def test_admissible_class_of_a_source_off_the_forbidden_domain():
+    # the forbidden operator of the null operator is the identity; an empty
+    # source meets its domain in nothing, whatever the form
+    a, empty, none = g.SymmetricOp.null(2), g.Subspace.empty(2), np.zeros((0, 0))
+    for param, exact in ((g.ContractionParam.constant(empty, empty, none, 1j), True),
+                         (g.ContractionParam.affine(empty, empty, none, none, 1j), True),
+                         (g.ContractionParam.callback(empty, empty, lambda lam: none, 1j), False)):
+        verdict = g.admissible_class_check(param, a, 1j)
+        assert verdict.admissible and verdict.exact == exact
+        assert verdict.detail == "no overlap with the forbidden domain"
+
+
 def test_admissible_class_dense_domain(rng):
     a = g.SymmetricOp.random(3, 3, rng)
     param = g.ContractionParam.constant(g.Subspace.empty(3), g.Subspace.empty(3),
@@ -712,3 +741,44 @@ def test_uniqueness_recovery_identifies_parameter(rng):
     c = 0.6 * nk.haar_unitary(2, rng)
     r = g.ResolventModel.from_direct_sum(v, null_param(v, constant=c))
     np.testing.assert_allclose(g.recover_parameter(r, 0.37 - 0.11j), c, atol=1e-10)
+
+
+def _symmetric_oracle():
+    """The dilation oracle of the symmetric fixture (anchored at i), and its operator."""
+    a, model, _, _ = flip_dilation_symmetric()
+    return g.ResolventModel.from_dilation(model), a
+
+
+def _partial_parameter():
+    # half of the defect space of the null operator: the extension is partial
+    e1 = g.Subspace(np.eye(2, 1, dtype=complex))
+    return g.ContractionParam.constant(e1, e1, np.array([[0.5]]), 1j)
+
+
+#: (call, error, message) of each input check of the resolvent layer
+REJECTED = [
+    (lambda: g.recover_parameter(_symmetric_oracle()[0], 0.3), TypeError,
+     "parameter recovery applies to isometric-side models"),
+    (lambda: recover_anchored_parameter(
+        g.ResolventModel.from_dilation(flip_dilation_isometric()[1]), 0.0, 0.0),
+     g.PointExcluded, "recovery needs an interior point distinct from 0"),
+    (lambda: g.extension_resolvent(g.SymmetricOp.null(2), _partial_parameter(), 1j, 2.0),
+     g.PointExcluded, r"real point \(2\+0j\)"),
+    (lambda: g.extension_resolvent(g.SymmetricOp.null(2), _partial_parameter(), 1j, 2j),
+     g.NumericalFailure, "full-defect parameter produced a partial extension"),
+    (lambda: g.boundary_parameter(*flip_dilation_isometric(), 0.0), ValueError,
+     "boundary parameters are defined for hermitian models"),
+    (lambda: g.defect_block(*_symmetric_oracle(), 1j, -2j), g.PointExcluded,
+     "evaluation point must share the anchor half-plane"),
+    (lambda: g.characteristic_function(g.SymmetricOp.null(1), 1j, -2j), g.PointExcluded,
+     "evaluation point must share the anchor half-plane"),
+    (lambda: g.verify_resolvent_axioms(identity_model(g.IsometryOp.null(1)),
+                                       g.IsometryOp.null(1)).check("no-such-axiom"),
+     KeyError, "no-such-axiom"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTED)
+def test_resolvent_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

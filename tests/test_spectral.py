@@ -122,6 +122,31 @@ def test_gap_criteria_fixture_eigen_iff_match():
         assert crit.detail["cover_margin"] > 0.9
 
 
+#: (call, error, message) of each input check of the spectral layer
+REJECTED = [
+    (lambda: g.SpectralAtoms("disk", ((0.0, np.eye(1)),)), ValueError,
+     "unknown atom kind 'disk'"),
+    (lambda: g.SpectralAtoms("line", ()), ValueError, "an atomic measure needs at least one atom"),
+    (lambda: g.SpectralAtoms("line", ((1.0, 0.5 * np.eye(1)), (0.0, 0.5 * np.eye(1)))),
+     ValueError, "atom locations must be strictly increasing"),
+    (lambda: g.SpectralAtoms("circle", ((7.0, np.eye(1)),)), ValueError,
+     r"circle atoms live in \[0, 2pi\)"),
+    (lambda: g.SpectralAtoms("line", ((0.0, 2.0 * np.eye(1)), (1.0, -np.eye(1)))), ValueError,
+     "weight at 1.0 has eigenvalue -1.000e[+]00"),
+    (lambda: g.ArcSpec("disk", 0.0, 1.0), ValueError, "unknown region kind 'disk'"),
+    (lambda: g.comparison_map(partial_identity_isometry(), 0.5), g.PointExcluded,
+     "the comparison map is defined at unimodular points"),
+    (lambda: g.gap_criteria(partial_identity_isometry(), np.eye(2), np.exp(1j)), ValueError,
+     r"parameter shape \(2, 2\) does not match defects \(1, 1\)"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTED)
+def test_spectral_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_gap_criteria_kernel_when_parameter_matches_map():
     v = partial_identity_isometry()
     zeta = np.exp(0.9j)
@@ -129,6 +154,14 @@ def test_gap_criteria_kernel_when_parameter_matches_map():
     ninf = g.defect_subspaces(v, g.INFINITY).n_space
     crit = g.gap_criteria(v, w.coords(ninf), zeta)
     assert crit.eigen and not crit.range
+
+
+def _spectrum_distance(v, c, zeta):
+    """Distance from 1/zeta to the spectrum of the direct sum of V and ``c``,
+    the second procedure for ``gap_criteria``'s kernel verdict."""
+    n0, ninf = (pair.n_space for pair in g.operators.parameter_frames(v, 0.0))
+    eigs = np.linalg.eigvals(g.operators._direct_sum(v, nk.as_cmatrix(c), n0, ninf))
+    return float(np.min(np.abs(eigs - 1.0 / zeta))) if eigs.size else np.inf
 
 
 def test_gap_criteria_agreement_random(rng):
@@ -143,7 +176,7 @@ def test_gap_criteria_agreement_random(rng):
         if not ok:
             continue
         crit = g.gap_criteria(v, c, zeta)
-        assert crit.eigen == (crit.detail["spectrum_distance"] <= nk.EIG_MERGE_GAP)
+        assert crit.eigen == (_spectrum_distance(v, c, zeta) <= nk.EIG_MERGE_GAP)
         assert crit.eigen == (not crit.range)
 
 
@@ -160,9 +193,10 @@ def test_gap_criteria_gives_a_verdict_near_the_comparison_map():
             continue
         w = g.comparison_map(v, zeta).coords(g.defect_subspaces(v, g.INFINITY).n_space)
         for eps in (3e-9, 1e-8, 3e-8, 1e-7):
-            crits.append(g.gap_criteria(v, w @ near_identity(rng, w.shape[1], eps), zeta))
-    assert all(c.eigen == (c.detail["kernel_margin"] <= g.spectral.GAP_GATE) for c in crits)
-    split = [c for c in crits if c.eigen != (c.detail["spectrum_distance"] <= nk.EIG_MERGE_GAP)]
+            c = w @ near_identity(rng, w.shape[1], eps)
+            crits.append((g.gap_criteria(v, c, zeta), _spectrum_distance(v, c, zeta)))
+    assert all(c.eigen == (c.detail["kernel_margin"] <= g.spectral.GAP_GATE) for c, _ in crits)
+    split = [c for c, dist in crits if c.eigen != (dist <= nk.EIG_MERGE_GAP)]
     assert 0 < len(split) < len(crits) / 4
 
 

@@ -249,10 +249,8 @@ def neumann_extension(a: SymmetricOp, z: complex,
     return _neumann_extension(a, z, t, True)
 
 
-def _neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
-                       validate: bool) -> tuple[PartialOperator, ExtensionClass]:
-    """``neumann_extension`` of a decided contraction; ``validate`` runs the
-    reassembly tail."""
+def _neumann_input(a: SymmetricOp, z: complex, t: PartialMap) -> None:
+    """The Neumann formula's input checks: the off-defect gate, then ``_admissible``."""
     require_nonreal(z)
     fixed = _neumann_frame(a, z, t.src)
     if t.dim and not (fixed.src_in_defect
@@ -260,6 +258,13 @@ def _neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
         raise ValueError("parameter does not map between the defect subspaces")
     if not _admissible(t, fixed):
         raise NotAdmissible("parameter")
+
+
+def _neumann_extension(a: SymmetricOp, z: complex, t: PartialMap,
+                       validate: bool) -> tuple[PartialOperator, ExtensionClass]:
+    """``neumann_extension`` of a decided contraction; ``validate`` runs the
+    reassembly tail."""
+    _neumann_input(a, z, t)
     pair_z, pair_zbar = parameter_frames(a, z)
     isometric = t.is_isometric()
 

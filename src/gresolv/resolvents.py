@@ -18,8 +18,8 @@ import numpy as np
 from . import numkernel as nk
 from .errors import NotContraction, NumericalFailure, PointExcluded, Singular, SingularSystem
 from .extensions import (ExitSpaceModel, PartialMap, BlockParam, _neumann_extension,
-                         _neumann_frame, compressed_extension, forbidden_operator,
-                         neumann_parameter)
+                         _neumann_frame, _neumann_input, compressed_extension,
+                         forbidden_operator, neumann_parameter)
 from .numkernel import CMatrix, Subspace
 from .operators import (IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
                         _orthogonal_extension, parameter_frames, require_nonreal)
@@ -211,19 +211,11 @@ class ResolventModel:
         return cls(model.embeds, ev, at)
 
 
-def _solve_at(point: complex, m: CMatrix, b: CMatrix) -> CMatrix:
-    """``nk.solve`` for a system set up at a point; a singular system is
-    reported as ``SingularSystem`` at that point."""
+def _inv_at(point: complex, m: CMatrix, b: CMatrix | None = None) -> CMatrix:
+    """``nk.inv(m)``, or ``nk.solve(m, b)`` when ``b`` is given, for a system set
+    up at a point; a singular one is reported as ``SingularSystem`` at that point."""
     try:
-        return nk.solve(m, b)
-    except Singular as exc:
-        raise SingularSystem(point, exc.smallest_sv) from exc
-
-
-def _inv_at(point: complex, m: CMatrix) -> CMatrix:
-    """``nk.inv`` for a matrix set up at a point, with the errors of ``_solve_at``."""
-    try:
-        return nk.inv(m)
+        return nk.inv(m) if b is None else nk.solve(m, b)
     except Singular as exc:
         raise SingularSystem(point, exc.smallest_sv) from exc
 
@@ -460,16 +452,14 @@ def _transfer_at(r_in: ResolventModel, z: complex, points: list) -> list:
 
 def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex, lam: complex,
                         boundary_ok: bool = False, validate: bool = True) -> CMatrix:
-    """Resolvent value (A_{F(lam)} - lam E)^{-1} of the extension family.
+    """Resolvent value (A_T - lam E)^{-1} of the extension family, read off as L M^{-1}.
 
-    On the anchor half-plane the extension is built from the parameter value
-    at lam; on the conjugate half-plane from the adjoint value at conj(lam),
-    anchored at conj(anchor), between the parameter's frames swapped.
-    Admissibility is checked at the evaluated point; the value's norm is the
-    one the family decided.
-    """
+    T is the family's value at lam anchored at z = anchor, or on the conjugate half-plane
+    its adjoint value at conj(lam) anchored at z = conj(anchor), frames swapped.  With D
+    the domain frame, phi the source frame, L = [D | T phi - phi] and M = (A_T - lam E) L
+    = [(A - lam) D | (z - lam) T phi - (conj(z) - lam) phi].  ``_admissible`` decides that
+    L is invertible; ``validate`` runs the Neumann build and reassembly tail as a guard."""
     lam = complex(lam)
-    n = a.ambient_dim
     if lam.imag == 0 and not boundary_ok:
         raise PointExcluded(f"real point {lam}")
     require_nonreal(anchor)
@@ -478,10 +468,15 @@ def extension_resolvent(a: SymmetricOp, param: ContractionParam, anchor: complex
     else:
         value, z = param(np.conj(lam)).conj().T, np.conj(anchor)
         src, dst = param.dst, param.src
-    ext, _ = _neumann_extension(a, z, PartialMap(src, dst.basis @ value), validate)
-    if not ext.is_everywhere_defined:
-        raise NumericalFailure("full-defect parameter produced a partial extension")
-    return _inv_at(lam, ext.full_matrix() - lam * np.eye(n))
+    t, d, k = PartialMap(src, dst.basis @ value), a.dom.basis, a.ambient_dim - a.dom.dim
+    if t.dim < k:
+        raise ValueError(f"partial parameter source: {t.dim} of {k} defect dimensions")
+    if validate:
+        _neumann_extension(a, z, t, True)
+    else:
+        _neumann_input(a, z, t)
+    m = np.hstack([a.action - lam * d, (z - lam) * t.matrix - (np.conj(z) - lam) * src.basis])
+    return np.hstack([d, t.matrix - src.basis]) @ _inv_at(lam, m)
 
 
 def generating_extension(r: ResolventModel, lam: complex) -> PartialOperator:
@@ -528,7 +523,7 @@ def _defect_block(r: ResolventModel, a: SymmetricOp, anchor: complex,
     # Cayley block computed without forming the extension family explicitly:
     # stays well conditioned even far out on the ray
     core = np.eye(n) + (lam - anchor) * r_val
-    cayley = np.eye(n) + (anchor - np.conj(anchor)) * _solve_at(lam, core, r_val)
+    cayley = np.eye(n) + (anchor - np.conj(anchor)) * _inv_at(lam, core, r_val)
     src, dst = (pair.n_space for pair in parameter_frames(a, anchor))
     image = cayley @ src.basis
     coords = dst.basis.conj().T @ image

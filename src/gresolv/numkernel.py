@@ -398,10 +398,11 @@ def _certified_each(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     k, n = m.shape[0], m.shape[-1]
     rounding = 8.0 * (n + 2) ** 2 * _EPS
     # a member whose norms or product overflow fails the tests below
-    threshold = _policy().threshold
+    policy = _policy()
     with np.errstate(over="ignore", invalid="ignore"):
         norm = _fro_each(m)
-        need = np.array([threshold(s, n) for s in (norm * (1.0 + rounding)).tolist()])
+        # ``policy.threshold`` of each member's padded norm
+        need = np.maximum(policy.abs_floor, policy.rel_factor(n) * (norm * (1.0 + rounding)))
         need += rounding * norm
         x_norm = _fro_each(x) * (1.0 + rounding)
         r = m @ x

@@ -145,10 +145,16 @@ def _read_only(value):
 def _memoized(op: PartialOperator, what, point, build):
     """``build()``, run once per (hashable what, point, policy in force) and
     kept on ``op`` with its arrays read-only; a build that raises stores nothing."""
-    key = (what, point if point is INFINITY else complex(point), nk._policy())
-    if key not in op._memo:
-        op._memo[key] = _read_only(build())
-    return op._memo[key]
+    return _kept(op._memo, (what, point if point is INFINITY else complex(point)), build)
+
+
+def _kept(memo: dict, key: tuple, build):
+    """``build()``, run once per (key, policy in force) and kept in ``memo``
+    with its arrays read-only; a build that raises stores nothing."""
+    key += (nk._policy(),)
+    if key not in memo:
+        memo[key] = _read_only(build())
+    return memo[key]
 
 
 def range_frame(op: PartialOperator, point) -> Subspace:

@@ -21,7 +21,7 @@ from .extensions import (ExitSpaceModel, PartialMap, BlockParam, _neumann_extens
                          _neumann_frame, _neumann_input, compressed_extension,
                          forbidden_operator, neumann_parameter)
 from .numkernel import CMatrix, Subspace
-from .operators import (IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
+from .operators import (IsometryOp, PartialOperator, SymmetricOp, _direct_sum, _kept,
                         _orthogonal_extension, parameter_frames, require_nonreal)
 
 
@@ -191,8 +191,13 @@ class ResolventModel:
 
     @classmethod
     def from_dilation(cls, model: ExitSpaceModel) -> "ResolventModel":
+        """The dilation oracle as a model.  A value at a single point is kept,
+        read-only, per (point, policy in force) for as long as the model
+        lives; ``at`` sets are computed afresh and not kept."""
+        memo = {}
+
         def ev(point, boundary_ok):
-            return dilation_resolvent(model, point)
+            return _kept(memo, (point,), lambda: dilation_resolvent(model, point))
 
         def at(points):
             # one stacked inverse for the set: each member bitwise that of
@@ -205,7 +210,7 @@ class ResolventModel:
                 inverses = nk.inv(systems)
             except Singular:
                 # the pointwise loop names the first singular point
-                return [ev(p, False) for p in points]
+                return [dilation_resolvent(model, p) for p in points]
             n = model.inner_dim
             return [x[:n, :n].copy() for x in inverses]
         return cls(model.embeds, ev, at)
@@ -540,10 +545,17 @@ def defect_block_family(r: ResolventModel, a: SymmetricOp, anchor: complex) -> C
     """The defect-block family of a resolvent model as an evaluable parameter.
 
     Its values are decided by the family's strict contraction check, which
-    implies the relaxed gate ``defect_block`` applies far out on a ray."""
+    implies the relaxed gate ``defect_block`` applies far out on a ray.  The
+    block at a point is computed once per policy in force and kept, read-only,
+    for as long as the family lives; the check still runs on every call."""
     src, dst = (pair.n_space for pair in parameter_frames(a, anchor))
-    return ContractionParam.callback(
-        src, dst, lambda lam: _defect_block(r, a, anchor, complex(lam))[0], anchor=anchor)
+    memo = {}
+
+    def fn(lam):
+        lam = complex(lam)
+        return _kept(memo, (lam,), lambda: _defect_block(r, a, anchor, lam)[0])
+
+    return ContractionParam.callback(src, dst, fn, anchor=anchor)
 
 
 def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex) -> CMatrix:
@@ -567,11 +579,11 @@ def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex) -> CM
     raw_img = np.hstack([a.action, np.conj(z) * nz.basis])
     if raw_dom.shape[1] != n:
         raise NumericalFailure("domain and defect do not span the space")
-    a_ext = raw_img @ nk.inv(raw_dom)
-    eye = np.eye(n)
-    resolv = _inv_at(lam, a_ext - lam * eye)
-    skew = ((lam - np.conj(z)) / (z - np.conj(z))) * (nk.projector(nz) @ (a_ext - z * eye) @ resolv)
-    factor = (lam - z) / (lam - np.conj(z))
+    # (A_ext - w) raw_dom = raw_img - w raw_dom, so the skew projection
+    # (A_ext - z)(A_ext - lam)^{-1} is (raw_img - z raw_dom)(raw_img - lam raw_dom)^{-1}
+    skew = (raw_img - z * raw_dom) @ _inv_at(lam, raw_img - lam * raw_dom)
+    # the projection's factor (lam - conj(z))/(z - conj(z)) times the fractional one
+    factor = (lam - z) / (z - np.conj(z))
     return factor * (nz.basis.conj().T @ skew @ nzbar.basis)
 
 

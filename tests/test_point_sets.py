@@ -95,6 +95,29 @@ def test_stacked_inv_raises_the_first_failure_of_the_loop():
         nk.inv(np.zeros((2, 3, 4)))
 
 
+@pytest.mark.parametrize("policy", [nk.DEFAULT_TOL, nk.TolPolicy(abs_floor=0.0, rank_rel=1e-8),
+                                    nk.TolPolicy(abs_floor=1e-9, rank_rel=1e-3)])
+def test_stacked_certificate_gives_each_members_single_verdict(policy):
+    rng = np.random.default_rng(17)
+    n = 4
+    tau = policy.threshold(1.0, n)
+    members = [np.eye(n) + 0.3 * rng.standard_normal((n, n))]
+    members += [_member(rng, n, max(tau, 1e-15) * 10.0 ** x) for x in (2.0, 0.5, -0.5, -2.0)]
+    # entries of size 0, 1e150 and 1e300 (whose squares overflow the norm), inf and nan
+    members += [np.zeros((n, n)), 1e150 * members[0], 1e300 * members[0]]
+    for bad in (np.inf, np.nan):
+        member = members[0].copy()
+        member[1, 2] = bad
+        members.append(member)
+    m = np.stack(members).astype(complex)
+    x = np.stack([np.eye(n) if not np.all(np.isfinite(member)) or not member.any()
+                  else np.linalg.inv(member) for member in m])
+    with nk.tolerance(policy):
+        each = nk._certified_each(m, x)
+        assert each.tolist() == [nk._certified(mi, xi) for mi, xi in zip(m, x)]
+    assert each[0] and not each[-2:].any()
+
+
 def _spectrum_point(model):
     """A point where the dilation system of the model is singular."""
     eig = np.linalg.eigvals(model.big_op)[0]

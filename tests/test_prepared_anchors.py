@@ -1,16 +1,21 @@
 """Anchor-level values (defect frames, forbidden operator, forward transforms,
 and the Neumann formula's arrays per parameter source frame) are built once per
 (operator, anchor, policy in force), shared read-only, and equal bit for bit to
-a fresh build; a formula point decides its parameter value's contraction once."""
+a fresh build; a formula point decides its parameter value's contraction once.
+The dilation oracle's point values and the defect-block family's blocks are kept
+per (point, policy in force) on the model or family that computed them, never
+across ops."""
 
 import numpy as np
 import pytest
 
 import gresolv as g
 import gresolv.numkernel as nk
-from gresolv import operators
+from gresolv import operators, resolvents
 from gresolv.resolvents import (DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES,
                                 defect_block_family)
+from gresolv.fixtures import flip_dilation_isometric
+from perfbench import instances, workloads
 from tests.conftest import random_isometric_model, random_symmetric_model
 
 
@@ -296,3 +301,75 @@ def test_family_values_beyond_the_slack_still_raise():
         g.defect_block(r, a, z, 2j, validate=False)
     with pytest.raises(g.NotContraction, match="callback value norm"):
         defect_block_family(r, a, z)(far)
+
+
+# ---------------------------------------------------------------- point values per op
+
+def _count_point_values(monkeypatch):
+    """Counts of ``dilation_resolvent`` and ``_defect_block`` runs."""
+    counts = {"dilation_resolvent": 0, "_defect_block": 0}
+    for name in counts:
+        def spy(*args, _name=name, _real=getattr(resolvents, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(resolvents, name, spy)
+    return counts
+
+
+def test_criterion_2_op_computes_each_point_value_once(monkeypatch):
+    # the half-plane samples are closed under conjugation: the family is read
+    # at the 20 upper points, the oracle at all 40
+    inst = instances.symmetric_instances(3, 2)[1]
+    counts = _count_point_values(monkeypatch)
+    for _ in range(2):
+        # a second op on the same pool instance recomputes every value
+        assert workloads.oracle_sym_op(inst).ok
+        assert counts == {"dilation_resolvent": 40, "_defect_block": 20}
+        counts.update(dilation_resolvent=0, _defect_block=0)
+    # a fresh family on a model already read recomputes its blocks only
+    oracle = g.ResolventModel.from_dilation(inst.model)
+    anchor = instances.SYMMETRIC_ANCHOR
+    for lam in DEFAULT_HALFPLANE_SAMPLES:
+        oracle(lam)
+    assert counts == {"dilation_resolvent": 40, "_defect_block": 0}
+    family = defect_block_family(oracle, inst.op, anchor)
+    for lam in DEFAULT_HALFPLANE_SAMPLES:
+        g.extension_resolvent(inst.op, family, anchor, lam, validate=False)
+    assert counts == {"dilation_resolvent": 40, "_defect_block": 20}
+
+
+def test_kept_point_values_are_read_only_and_kept_per_policy(monkeypatch):
+    rng = np.random.default_rng(202)
+    anchor, lam = 1j, 1.0 + 2.0j
+    a, model, _ = random_symmetric_model(rng, n_max=8, m_max=8, anchor=anchor)
+    oracle = g.ResolventModel.from_dilation(model)
+    family = defect_block_family(oracle, a, anchor)
+    counts = _count_point_values(monkeypatch)
+    value, block = oracle(lam), family(lam)
+    for kept in (value, block):
+        with pytest.raises(ValueError):
+            kept[0, 0] = 1.0
+    assert oracle(lam) is value and family(lam) is block
+    assert counts == {"dilation_resolvent": 1, "_defect_block": 1}
+    loose = g.TolPolicy(abs_floor=1e-9)
+    with g.tolerance(loose):
+        assert family(lam) is not block
+        assert family(lam) is family(lam)
+    assert counts == {"dilation_resolvent": 2, "_defect_block": 2}
+    assert family(lam) is block
+    # a point set is neither read from nor kept
+    values = oracle.at(DEFAULT_HALFPLANE_SAMPLES[:3])
+    assert counts["dilation_resolvent"] == 2
+    assert all(v.flags.writeable for v in values)
+    np.testing.assert_array_equal(values[1], oracle(DEFAULT_HALFPLANE_SAMPLES[1]))
+    assert counts["dilation_resolvent"] == 3
+
+
+def test_a_failed_point_value_is_not_kept(monkeypatch):
+    _, model = flip_dilation_isometric()
+    oracle = g.ResolventModel.from_dilation(model)
+    counts = _count_point_values(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(g.SingularSystem):
+            oracle(1.0)
+    assert counts["dilation_resolvent"] == 2

@@ -11,7 +11,10 @@ pass over the same pool is then counted, and each count is printed per op:
   ``inv``, ``solve`` and ``lstsq``;
 - the kernel calls ``nk.op_norm``, ``nk.intersect``, ``nk.projector``,
   ``nk.check_contraction`` and ``nk.injective`` (each rank test, the
-  admissibility verdict's among them).
+  admissibility verdict's among them);
+- the point values computed: ``dilation_resolvent`` (the oracle at one point;
+  a value its model already keeps is not counted) and ``_defect_block`` (the
+  defect-block family's block at one point, likewise).
 
 The counts cover the whole op as the benchmark runs it, its own check against
 the oracle included.  They are deterministic for a given seed and pool, so two
@@ -36,6 +39,7 @@ import numpy as np  # noqa: E402
 import numpy.linalg._linalg as _linalg  # noqa: E402
 
 import gresolv.numkernel as nk  # noqa: E402
+import gresolv.resolvents as resolvents  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 #: numpy.linalg functions counted; each is rebound in ``numpy.linalg`` and in
@@ -43,7 +47,9 @@ from perfbench import workloads  # noqa: E402
 NUMPY_CALLS = ("svd", "inv", "solve", "lstsq")
 #: kernel functions counted, under every name a gresolv module binds them to
 KERNEL_CALLS = ("op_norm", "intersect", "projector", "check_contraction", "injective")
-COLUMNS = NUMPY_CALLS + KERNEL_CALLS
+#: point-value builders counted, likewise under every gresolv name
+POINT_CALLS = ("dilation_resolvent", "_defect_block")
+COLUMNS = NUMPY_CALLS + KERNEL_CALLS + POINT_CALLS
 
 
 @contextlib.contextmanager
@@ -57,8 +63,8 @@ def counting(counts: Counter):
 
     targets = [(module, name, getattr(np.linalg, name))
                for name in NUMPY_CALLS for module in (np.linalg, _linalg)]
-    for name in KERNEL_CALLS:
-        original = getattr(nk, name)
+    for home, name in [(nk, n) for n in KERNEL_CALLS] + [(resolvents, n) for n in POINT_CALLS]:
+        original = getattr(home, name)
         for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "gresolv"]:
             targets += [(module, attr, original) for attr, obj in vars(module).items()
                         if obj is original]

@@ -29,8 +29,8 @@ from .resolvents import (ContractionParam, ResolventModel,
                          _transfer_at, direct_sum_resolvent, defect_block_family,
                          boundary_parameter, recovered_parameter_family,
                          extension_resolvent, verify_resolvent_axioms)
-from .spectral import (ArcSpec, gap_report, in_space_atoms, spectral_measure,
-                       verify_integral_representation)
+from .spectral import (ArcSpec, _integral_residual, gap_report, in_space_atoms,
+                       spectral_measure)
 
 SCHEMA_VERSION = 1
 
@@ -117,9 +117,8 @@ class InstanceFile:
 
     @property
     def exit_dim(self) -> int:
-        """Exit block size less the inner defect dimension n - d; 0 without a block."""
-        if self.exit_block is None:
-            return 0
+        """Exit block size less the inner defect dimension n - d; read only
+        with a block."""
         n, d = self.domain_basis.shape
         return self.exit_block.shape[0] - (n - d)
 
@@ -408,12 +407,13 @@ def _suite_oracle(inst: InstanceFile, op: IsometryOp | SymmetricOp, model: ExitS
         report.add("direct-sum-formula-vs-dilation", worst <= 1e-9, worst, "oracle-equivalence")
         return
     family = defect_block_family(r, op, inst.anchor)
+    oracles = r.at(DEFAULT_HALFPLANE_SAMPLES)
     worst = nk._worst_norm(
         extension_resolvent(op, family, inst.anchor, lam, validate=False) - oracle
-        for lam, oracle in zip(DEFAULT_HALFPLANE_SAMPLES, r.at(DEFAULT_HALFPLANE_SAMPLES)))
+        for lam, oracle in zip(DEFAULT_HALFPLANE_SAMPLES, oracles))
     report.add("extension-formula-vs-dilation", worst <= 1e-9, worst, "oracle-equivalence")
     atoms = spectral_measure(model)
-    res = verify_integral_representation(atoms, r, DEFAULT_HALFPLANE_SAMPLES)
+    res = _integral_residual(atoms, DEFAULT_HALFPLANE_SAMPLES, oracles)
     report.add("atomic-integral-representation", res <= 1e-10, res, "oracle-equivalence")
 
 

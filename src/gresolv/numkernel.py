@@ -291,9 +291,7 @@ def injective(m: CMatrix) -> tuple[bool, float]:
 
 def kernel(m: CMatrix) -> CMatrix:
     """Orthonormal columns spanning the numerical kernel of ``m``, under the
-    threshold of ``injective``."""
-    if m.size == 0:
-        return np.eye(m.shape[1], dtype=np.complex128)
+    threshold of ``injective``; ``m`` is not empty."""
     _, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > _policy().threshold(max(float(s[0]), 1.0), m.shape[0])))
     return vh.conj().T[:, rank:]
@@ -447,7 +445,8 @@ def _eig_unitary(m: CMatrix) -> list[tuple[complex, CMatrix]]:
             lam = complex(np.mean(w1[idx])) + 1j * complex(np.mean(w2[sub]))
             lam /= abs(lam)
             raw.append((lam, vec))
-    # chordal merge of candidates that the cos/sin split kept apart
+    # chordal merge of candidates that the cos/sin split kept apart; the two
+    # either side of angle 0 share a cos block, whose sin split keeps them apart
     raw.sort(key=lambda t: np.angle(t[0]) % (2 * np.pi))
     merged: list[tuple[complex, list[CMatrix]]] = []
     for lam, vec in raw:
@@ -455,9 +454,6 @@ def _eig_unitary(m: CMatrix) -> list[tuple[complex, CMatrix]]:
             merged[-1][1].append(vec)
         else:
             merged.append((lam, [vec]))
-    if len(merged) > 1 and abs(merged[0][0] - merged[-1][0]) < EIG_MERGE_GAP:
-        lam, vecs = merged.pop()
-        merged[0] = (merged[0][0], merged[0][1] + vecs)
     out = []
     for lam, vecs in merged:
         block = np.hstack(vecs)

@@ -622,9 +622,14 @@ def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel,
     """Boundary parameter of the compressed big operator and its sectorial limits.
 
     The direct route reads the parameter off the compression of the model; the
-    limit route evaluates the defect-block family along the imaginary ray of
+    limit route evaluates the defect-block family along the imaginary axis of
     the anchor's half-plane and reports the per-vector errors and the
     membership quantities.  Convergence is reported, never extrapolated.
+    A model that carries its block at this anchor with a trivial-domain exit
+    operator gives the family in closed form (``defect_block_via_characteristic``,
+    contractions by the block and |c| < 1) at magnitudes 10 ... 1e6 times
+    s = max(1, ||(E - t22)^-1||), where its asymptotics hold; other models read
+    it off the dilation (``defect_block``) at 10 ... 1e6, before cancellation sets in.
     """
     if model.kind != "hermitian":
         raise ValueError("boundary parameters are defined for hermitian models")
@@ -632,14 +637,16 @@ def boundary_parameter(a: SymmetricOp, model: ExitSpaceModel,
     direct = neumann_parameter(compressed, a, anchor)
     src, dst = (pair.n_space for pair in parameter_frames(a, anchor))
     direct_coords = dst.basis.conj().T @ direct.ambient() @ src.basis
-    r = ResolventModel.from_dilation(model)
-    points = _imaginary_ray(anchor)
-    errors = np.zeros((len(points), src.dim))
-    member = np.zeros((len(points), src.dim))
-    for i, lam in enumerate(points):
-        fk = defect_block(r, a, anchor, lam, validate=False)
-        errors[i] = np.linalg.norm(fk - direct_coords, axis=0)
-        member[i] = membership_quantity(fk, lam)
+    block, e_op = model.block, model.exit_op
+    if block is not None and e_op is not None and e_op.dom.dim == 0 and model.anchor == anchor:
+        scale = max(1.0, nk.op_norm(nk.inv(np.eye(len(block.t22)) - block.t22)))
+        points = tuple(scale * lam for lam in _imaginary_ray(anchor))
+        values = [defect_block_via_characteristic(block, e_op, anchor, lam) for lam in points]
+    else:
+        r, points = ResolventModel.from_dilation(model), _imaginary_ray(anchor)
+        values = [defect_block(r, a, anchor, lam, validate=False) for lam in points]
+    errors = np.array([np.linalg.norm(fk - direct_coords, axis=0) for fk in values])
+    member = np.array([membership_quantity(fk, lam) for fk, lam in zip(values, points)])
     return BoundaryParameterReport(direct, points, errors, member)
 
 

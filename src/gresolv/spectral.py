@@ -117,9 +117,14 @@ def verify_integral_representation(atoms: SpectralAtoms, r: ResolventModel,
     Circle: sum of weight/(1 - z exp(i theta)) against the resolvent; line:
     the Cauchy kernel 1/(t - lam) analogue.
     """
-    residuals = []
     samples = [complex(point) for point in samples]
-    for point, value in zip(samples, r.at(samples)):
+    return _integral_residual(atoms, samples, r.at(samples))
+
+
+def _integral_residual(atoms: SpectralAtoms, samples: list, values: list) -> float:
+    """``verify_integral_representation`` on the resolvent values at the samples."""
+    residuals = []
+    for point, value in zip(samples, values):
         acc = np.zeros((atoms.dim, atoms.dim), dtype=np.complex128)
         for loc, weight in atoms.atoms:
             if atoms.kind == "circle":

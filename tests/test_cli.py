@@ -2,6 +2,8 @@
 
 import json
 import re
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -428,6 +430,41 @@ def test_verify_fails_without_the_block_a_suite_reads(tmp_path, capsys):
         assert f"[FAIL] {check}" in capsys.readouterr().out
 
 
+def test_exit_dim_is_read_only_with_a_block(tmp_path, monkeypatch):
+    # InstanceFile.exit_dim has no value without an exit block: loading,
+    # saving and every command on a file without one never read it
+    read = cli.InstanceFile.exit_dim.fget
+
+    def with_block(inst):
+        assert inst.exit_block is not None, "exit_dim read without an exit block"
+        return read(inst)
+
+    monkeypatch.setattr(cli.InstanceFile, "exit_dim", property(with_block))
+    path = tmp_path / "inst.json"
+    for kind in ("isometric", "symmetric"):
+        obj = cli.generate_instance(kind, 3, 1, 2, seed=5).to_json()
+        path.write_text(json.dumps({**obj, "exit": None}), encoding="utf-8")
+        inst = cli.load_instance(path)
+        assert inst.model() is None and inst.to_json()["exit"] is None
+        cli.save_instance(inst, tmp_path / "saved.json")
+        region = ["0.3", "2.5"] if kind == "isometric" else ["-1.5", "1.5"]
+        for argv in (["verify", str(path)], ["verify", str(path), "--suite", "gap"],
+                     ["verify", str(path), "--suite", "limits"], ["resolvent", str(path)],
+                     ["spectrum", str(path)], ["gap", str(path), "--region", *region]):
+            assert cli.main(argv) in (0, 1, 2)
+
+
+def test_module_entry_runs_main(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "inst.json"
+    monkeypatch.setattr(sys, "argv", ["gresolv", "gen", "--kind", "isometric", "--n", "2",
+                                      "--d", "1", "--out", str(out)])
+    monkeypatch.delitem(sys.modules, "gresolv.cli")
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("gresolv.cli", run_name="__main__")
+    assert done.value.code == 0 and out.exists()
+    assert "wrote isometric instance n=2 d=1 m=1" in capsys.readouterr().out
+
+
 def test_verify_gap_suite_with_a_single_atom(tmp_path):
     # on the circle the atom-free arc starts past the atom and is clamped below 2 pi
     for kind, atom in (("isometric", 0.679), ("symmetric", 0.352)):
@@ -527,3 +564,26 @@ def test_rejected_input_exits_2_with_its_message(tmp_path, capsys, case):
     argv, message = REJECTED[case]
     assert cli.main(argv(tmp_path)) == 2
     assert message in capsys.readouterr().err
+
+
+#: a sample of the grid kind x n in {1, 2, 4, 8, 16} x d in {0, n/2, n - 1, n}
+#: x m in {0, 1, 4, 8, 16}: every (kind, n, d) twice, with two exit sizes and
+#: seeds 1 and 2
+SWEEP = [(kind, n, d, (0, 1, 4, 8, 16)[(i + 2 * j) % 5], 1 + j)
+         for i, (kind, n, d) in enumerate(
+             (kind, n, d) for kind in ("isometric", "symmetric") for n in (1, 2, 4, 8, 16)
+             for d in sorted({0, n // 2, n - 1, n}))
+         for j in (0, 1)]
+#: symmetric files whose boundary limits start before the asymptotic regime on
+#: the unscaled ray 10 ... 1e6, and failed `limits` there
+SWEEP += [("symmetric", 16, 15, 1, 1493746996), ("symmetric", 4, 3, 1, 2074306116),
+          ("symmetric", 1, 0, 8, 1943781588), ("symmetric", 4, 3, 1, 1069842143)]
+
+
+@pytest.mark.parametrize("kind, n, d, m, seed", SWEEP,
+                         ids=[f"{k}-n{n}-d{d}-m{m}-s{s}" for k, n, d, m, s in SWEEP])
+def test_verify_all_passes_on_generated_files(tmp_path, capsys, kind, n, d, m, seed):
+    path = tmp_path / "inst.json"
+    cli.save_instance(cli.generate_instance(kind, n, d, m, seed), path)
+    code = cli.main(["verify", str(path), "--suite", "all"])
+    assert code == 0, capsys.readouterr().out

@@ -215,6 +215,29 @@ def test_build_admissible_isometry_partial_subspaces(rng):
         assert g.is_admissible(a, 1j, result)
 
 
+def test_admissible_isometry_source_meets_the_forbidden_source_and_balances(rng):
+    # the forbidden operator's source is the whole defect space at z, so every
+    # source inside it meets it in itself; the corrected core maps
+    # isometrically into n_dst, so the left-over directions of n_src and n_dst
+    # have one dimension, and the map's source is all of n_src
+    for _ in range(40):
+        n = int(rng.integers(2, 17))
+        d = int(rng.integers(0, n))
+        a = g.SymmetricOp.random(n, d, rng)
+        z = complex(rng.standard_normal(), rng.choice([-1.0, 1.0]) * (0.5 + rng.random()))
+        src, dst = defects(a, z)
+        x = g.forbidden_operator(a, z)
+        assert nk._norm_within(nk.projector(x.src) - nk.projector(src), 1e-8)
+        q = int(rng.integers(1, src.dim + 1))
+        sub_src = g.Subspace(src.basis @ nk.haar_frame(src.dim, q, rng))
+        sub_dst = g.Subspace(dst.basis @ nk.haar_frame(dst.dim, q, rng))
+        assert nk.intersect(x.src, sub_src).dim == q
+        result = g.build_admissible_isometry(a, z, sub_src, sub_dst, seed=int(rng.integers(2**32)))
+        assert result.dim == q and result.is_isometric(1e-10)
+        assert nk._norm_within(nk.projector(result.src) - nk.projector(sub_src), 1e-8)
+        assert nk._norm_within(result.matrix - nk.projector(sub_dst) @ result.matrix, 1e-8)
+
+
 def test_exit_space_rebuilds_fixture():
     a, model, anchor, block = flip_dilation_symmetric()
     rebuilt = g.exit_space_extension(a, 1, anchor, block)

@@ -110,6 +110,44 @@ def test_eig_merges_multiplicity():
     np.testing.assert_allclose(proj, np.eye(3), atol=1e-12)
 
 
+def _unitary_with_angles(q, angles):
+    return (q * np.exp(1j * np.asarray(angles))) @ q.conj().T
+
+
+def test_eig_unitary_merges_candidates_the_split_kept_apart():
+    # pi/3 and pi/3 + 2.4e-8 differ by 1.2e-8 in sine, so the sine split keeps
+    # them apart; the conjugate pair at -(pi/3 + 0.8e-8), -(pi/3 + 1.6e-8)
+    # chains all four into one cosine block, whose mean cosine puts the two
+    # candidates 0.6e-8 apart on the circle, so the chordal merge joins them
+    angles = [np.pi / 3, np.pi / 3 + 2.4e-8, -(np.pi / 3 + 0.8e-8), -(np.pi / 3 + 1.6e-8)]
+    q = nk.haar_unitary(4, np.random.default_rng(0))
+    pairs = nk.eig_normal(_unitary_with_angles(q, angles), "unitary")
+    assert len(pairs) == 2
+    (lam, proj), (lam_conj, proj_conj) = pairs
+    assert abs(np.angle(lam) - np.pi / 3) < 1e-7 and abs(lam_conj - np.conj(lam)) < 1e-7
+    np.testing.assert_allclose(proj, q[:, :2] @ q[:, :2].conj().T, atol=1e-10)
+    np.testing.assert_allclose(proj_conj, q[:, 2:] @ q[:, 2:].conj().T, atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       near=st.lists(st.tuples(st.floats(1e-10, 3e-8), st.booleans()), min_size=2, max_size=8),
+       others=st.integers(0, 4))
+def test_eig_unitary_atoms_stay_a_gap_apart_across_angle_zero(seed, near, others):
+    # eigen-angles within +-(1e-10 ... 3e-8) of 0 share one cosine block, and
+    # its sine split keeps the atoms on either side of angle 0 apart
+    rng = np.random.default_rng(seed)
+    angles = [mag if positive else -mag for mag, positive in near]
+    angles += list(rng.uniform(0.0, 2 * np.pi, others))
+    q = nk.haar_unitary(len(angles), rng)
+    pairs = nk.eig_normal(_unitary_with_angles(q, angles), "unitary")
+    lams = [lam for lam, _ in pairs]
+    if len(lams) > 1:
+        # neighbours in angle order, the pair across angle 0 included
+        assert min(abs(lams[i] - lams[i - 1]) for i in range(len(lams))) >= nk.EIG_MERGE_GAP
+    assert nk.op_norm(sum(proj for _, proj in pairs) - np.eye(len(angles))) < 1e-9
+
+
 def test_eig_kind_mismatch():
     with pytest.raises(KindMismatch):
         nk.eig_normal(np.array([[0.0, 1.0], [0.0, 0.0]]), "hermitian")

@@ -34,6 +34,17 @@ def test_defects_of_unitary_vanish(rng):
         assert g.defect_subspaces(v, zeta).n_space.dim == 0
 
 
+def test_defect_spaces_of_an_isometry_balance(rng):
+    # both defect spaces at 0 and at infinity are complements of rank-d
+    # orthonormalizations of orthonormal d-frames, so each has dimension n - d
+    for _ in range(40):
+        n = int(rng.integers(1, 17))
+        d = int(rng.integers(0, n + 1))
+        v = g.IsometryOp.random(n, d, rng)
+        n0, ninf = (pair.n_space for pair in operators.parameter_frames(v, 0.0))
+        assert n0.dim == ninf.dim == n - d
+
+
 def test_moebius_scalar_unitary():
     u, z = np.exp(0.7j), 0.3 + 0.2j
     vz = g.moebius_transform(scalar_iso(u), z)

@@ -5,8 +5,9 @@ and the first error, of the single calls they stand in for.
 ``nk.inv`` calls for N = 1 ... 32, on members that the certificate accepts,
 members in the band around the singularity threshold, exactly singular and
 non-finite members.  ``ResolventModel.at`` is compared with a loop of single
-evaluations on dilation models of both kinds, and a spy pins how many
-``np.linalg.inv`` calls one ``verify --suite axioms`` run makes.
+evaluations on dilation models of both kinds.  Spies pin how many
+``np.linalg.inv`` calls one ``verify --suite axioms`` run makes, and that a
+symmetric ``verify --suite oracle`` run inverts one stack.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import gresolv as g
 import gresolv.numkernel as nk
 from gresolv import cli
 from gresolv.errors import Singular, SingularSystem
+from gresolv.resolvents import DEFAULT_HALFPLANE_SAMPLES
 from tests.conftest import random_isometric_model, random_symmetric_model
 
 
@@ -173,3 +175,21 @@ def test_axiom_suite_inverts_one_stack_per_point_set(kind, tmp_path, monkeypatch
         assert cli.main(["verify", str(path), "--suite", "axioms"]) == 0
     assert any(len(shape) == 3 for shape in calls)
     assert len(calls) <= AXIOM_INV_CALLS, len(calls)
+
+
+def test_symmetric_oracle_suite_inverts_the_half_plane_samples_once(tmp_path, monkeypatch):
+    # the formula residual and the integral representation read one set of
+    # oracle values at DEFAULT_HALFPLANE_SAMPLES
+    path = tmp_path / "symmetric8.json"
+    cli.save_instance(cli.generate_instance("symmetric", 8, 4, 2, seed=8), path)
+    stacks = []
+
+    def inv(m, _real=np.linalg.inv):
+        if np.ndim(m) == 3:
+            stacks.append(len(m))
+        return _real(m)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", str(path), "--suite", "oracle"]) == 0
+    assert stacks == [len(DEFAULT_HALFPLANE_SAMPLES)] == [40]

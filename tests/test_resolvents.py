@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import gresolv as g
 import gresolv.numkernel as nk
+from gresolv import cli
 from gresolv.extensions import _neumann_extension
 from gresolv.fixtures import flip_dilation_isometric, flip_dilation_symmetric
 from gresolv.operators import parameter_frames
 from gresolv.resolvents import (DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES,
-                                defect_block_family, membership_quantity,
+                                _imaginary_ray, defect_block_family, membership_quantity,
                                 recover_anchored_parameter, recovered_parameter_family)
 from tests.conftest import random_isometric_model, random_symmetric_model
 
@@ -739,6 +740,24 @@ def test_boundary_parameter_fixture():
     expected = np.array([2.0 / (1.0 + 10.0**k) for k in range(1, 7)])
     np.testing.assert_allclose(report.limit_errors.ravel(), expected, rtol=1e-4)
     assert report.membership.max() < 3.0
+
+
+def test_boundary_parameter_reads_a_model_with_its_block_on_the_scaled_ray():
+    # the n = 4, d = 3, m = 1 file of seed 2074306116: s = ||(E - t22)^-1|| is
+    # about 8e3, so the unscaled ray 10 ... 1e6 ends before the limit sets in
+    inst = cli.generate_instance("symmetric", 4, 3, 1, seed=2074306116)
+    a, model = inst.operator, inst.model()
+    t22 = model.block.t22
+    scale = nk.op_norm(np.linalg.inv(np.eye(len(t22)) - t22))
+    assert 7e3 < scale < 9e3
+    report = g.boundary_parameter(a, model, inst.anchor)
+    assert report.ray_points == tuple(scale * lam for lam in _imaginary_ray(inst.anchor))
+    assert report.limit_errors[-1].max() < 1e-5
+    # the same operator without its block is read off the dilation on the unscaled ray
+    bare = g.boundary_parameter(a, g.ExitSpaceModel(model.big_op, a), inst.anchor)
+    assert bare.ray_points == _imaginary_ray(inst.anchor)
+    assert bare.limit_errors[-1].max() > 1e-2
+    assert nk.op_norm(bare.direct.ambient() - report.direct.ambient()) < 1e-12
 
 
 def test_boundary_parameter_no_exit_error_vanishes(rng):

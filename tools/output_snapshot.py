@@ -29,7 +29,7 @@ from gresolv import cli
 FILES = [(kind, n, n // 2, 2, n) for kind in ("isometric", "symmetric") for n in (4, 8, 16)]
 FILES += [(kind, n, d, m, n) for kind in ("isometric", "symmetric")
           for n, d, m in ((3, 1, 0), (5, 0, 1), (6, 3, 3))]
-#: symmetric files that fail ``verify --suite all`` at ``limits`` (ROADMAP item 1)
+#: symmetric files whose boundary limits set in far out on the ray
 FILES += [("symmetric", 16, 15, 1, 1493746996), ("symmetric", 4, 3, 1, 2074306116),
           ("symmetric", 1, 0, 8, 1943781588), ("symmetric", 4, 3, 1, 1069842143)]
 

@@ -17,8 +17,8 @@ import numpy as np
 from . import numkernel as nk
 from .errors import NotAdmissible, NumericalFailure, T22NotAdmissible
 from .numkernel import CMatrix, Subspace
-from .operators import (IsometryOp, PartialOperator, SymmetricOp, _memoized, _transport,
-                        parameter_frames, require_nonreal)
+from .operators import (INFINITY, IsometryOp, PartialOperator, SymmetricOp, _comparison_coords,
+                        _memoized, _transport, parameter_frames, require_nonreal)
 
 
 @dataclass(frozen=True)
@@ -424,36 +424,31 @@ def block_param_from_map(tmap: PartialMap, frames: ExitFrames, isometry: bool = 
     )
 
 
+def _closed_block(block: BlockParam, c: CMatrix) -> CMatrix:
+    """t11 + t12 (E - C t22)^-1 C t21, for C from the exit defect at conj(z)
+    into the one at z."""
+    core = np.eye(c.shape[0]) - c @ block.t22
+    return block.t11 + block.t12 @ nk.solve(core, c @ block.t21)
+
+
 def compressed_parameter(a: SymmetricOp, z: complex, block: BlockParam,
                          exit_op: SymmetricOp | None = None) -> PartialMap:
     """Compression of a split defect parameter to the inner defect spaces.
 
-    For the trivial-domain exit operator (the default, on the columns of
-    t22) the forbidden operator of the exit space is the identity, and the
-    compression reduces to t11 + t12 (I - t22)^{-1} t21.  A general symmetric
-    exit operator is accepted; the same elimination then runs with its
-    forbidden operator.
+    It is t11 + t12 (E - C t22)^{-1} C t21 with C = K_e(INFINITY)*, the
+    adjoint of the exit operator's forbidden operator in its defect frames;
+    the trivial-domain exit operator (the default, on the columns of t22) has
+    C = E.  E - C t22 has the singular values of t22 minus the exit forbidden
+    operator: ``T22NotAdmissible`` when it is not injective.
     """
+    require_nonreal(z)
     if exit_op is None:
         exit_op = SymmetricOp.null(block.t22.shape[1])
-    x_e = forbidden_operator(exit_op, z)
-    nz_e, nzb_e = (pair.n_space for pair in parameter_frames(exit_op, z))
-    # coordinates of the exit forbidden operator inside the exit defect frames
-    src_c = nz_e.basis.conj().T @ x_e.src.basis
-    img_c = nzb_e.basis.conj().T @ x_e.matrix
-    # one row per exit defect direction at conj(z), one column per direction of
-    # the exit forbidden operator: both counts are the codimension of the exit
-    # domain, so the system is square
-    elim = img_c - block.t22 @ src_c
-    if not nk.injective(elim)[0]:
+    c = _comparison_coords(exit_op, z, INFINITY).conj().T
+    if not nk.injective(np.eye(c.shape[0]) - c @ block.t22)[0]:
         raise T22NotAdmissible()
-    if elim.shape[1]:
-        psi2 = src_c @ nk.solve(elim, block.t21)
-    else:
-        psi2 = np.zeros((block.t22.shape[1], block.t21.shape[1]), dtype=np.complex128)
-    phi_coords = block.t11 + block.t12 @ psi2
     nz_a, nzb_a = (pair.n_space for pair in parameter_frames(a, z))
-    return PartialMap.from_coords(nz_a, nzb_a, phi_coords)
+    return PartialMap.from_coords(nz_a, nzb_a, _closed_block(block, c))
 
 
 def exit_space_extension(a: SymmetricOp, exit_dim: int, z: complex, block: BlockParam,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel as nk
-from .errors import FixedPointObstruction, NumericalFailure
+from .errors import FixedPointObstruction, NumericalFailure, Singular, SingularSystem
 from .numkernel import CMatrix, Subspace
 
 
@@ -194,6 +194,55 @@ def parameter_frames(op: PartialOperator, anchor) -> tuple[DefectPair, DefectPai
             partner = np.conj(anchor)
         return defect_subspaces(op, anchor), defect_subspaces(op, partner)
     return _memoized(op, "frames", anchor, build)
+
+
+def _comparison_blocks(op: PartialOperator, anchor) -> tuple:
+    """The blocks (P0* M, P1* M, P0* S, P1* S, T* S, T* M) that
+    ``_comparison_coords`` reads, kept once per (operator, anchor, policy).
+    Raises ``NumericalFailure`` when the defect space at the anchor is not
+    n - d dimensional: its shifted range has lost rank."""
+    def build():
+        src, dst = parameter_frames(op, anchor)
+        if src.n_space.dim != op.ambient_dim - op.dom.dim:
+            raise NumericalFailure("domain and defect do not span the space")
+        p0, p1 = op.dom.basis, op.action
+        if not isinstance(op, IsometryOp):
+            p0, p1 = p1, p0
+        m, s = src.m_space.basis, src.n_space.basis
+        t_m, t_s = (dst.n_space.basis.conj().T @ frame for frame in (m, s))
+        p0_m, p1_m, p0_s, p1_s = (p.conj().T @ frame for frame in (m, s) for p in (p0, p1))
+        return p0_m, p1_m, p0_s, p1_s, t_s, t_m
+    return _memoized(op, "blocks", anchor, build)
+
+
+def _inv_at(point, m: CMatrix, b: CMatrix | None = None) -> CMatrix:
+    """``nk.inv(m)``, or ``nk.solve(m, b)`` when ``b`` is given, for a system set
+    up at a point; a singular one is reported as ``SingularSystem`` at that point."""
+    try:
+        return nk.inv(m) if b is None else nk.solve(m, b)
+    except Singular as exc:
+        raise SingularSystem(point, exc.smallest_sv) from exc
+
+
+def _comparison_coords(op: PartialOperator, anchor, point) -> CMatrix:
+    """K(p): the coordinates, from the n-frame S at the anchor into the n-frame
+    T at its partner, of the map sending the S-shadow of a p-defect vector to
+    its T-shadow; at ``INFINITY``, their limit.
+
+    With M the m-frame at the anchor and (P0, P1) = (D, action) for an
+    isometry, (action, D) for a symmetric operator, the shifted range at p is
+    the range of R(p) = P0 - p P1, so v = S c + M w is a p-defect vector
+    exactly when R(p)* v = 0: K(p) = T* S - T* M (R(p)* M)^-1 R(p)* S, one
+    d x d inverse that raises ``SingularSystem`` at p.  At infinity R(p)*
+    reduces to P1*, and K holds a symmetric operator's forbidden operator.
+    """
+    p0_m, p1_m, p0_s, p1_s, t_s, t_m = _comparison_blocks(op, anchor)
+    if not (p0_m.size and t_s.size):
+        return t_s
+    if point is INFINITY:
+        return t_s - t_m @ (_inv_at(point, p1_m) @ p1_s)
+    conj = np.conj(point)
+    return t_s - t_m @ (_inv_at(point, p0_m - conj * p1_m) @ (p0_s - conj * p1_s))
 
 
 def _transport(raw_dom: CMatrix, raw_ran: CMatrix) -> tuple[Subspace, CMatrix]:

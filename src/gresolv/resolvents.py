@@ -16,13 +16,13 @@ from typing import Callable
 import numpy as np
 
 from . import numkernel as nk
-from .errors import NotContraction, NumericalFailure, PointExcluded, Singular, SingularSystem
-from .extensions import (ExitSpaceModel, PartialMap, BlockParam, _neumann_extension,
-                         _neumann_frame, _neumann_input, compressed_extension,
-                         forbidden_operator, neumann_parameter)
+from .errors import NotContraction, NumericalFailure, PointExcluded, Singular
+from .extensions import (ExitSpaceModel, PartialMap, BlockParam, _closed_block,
+                         _neumann_extension, _neumann_frame, _neumann_input,
+                         compressed_extension, forbidden_operator, neumann_parameter)
 from .numkernel import CMatrix, Subspace
-from .operators import (IsometryOp, PartialOperator, SymmetricOp, _direct_sum, _kept,
-                        _orthogonal_extension, parameter_frames, require_nonreal)
+from .operators import (IsometryOp, PartialOperator, SymmetricOp, _comparison_coords, _direct_sum,
+                        _inv_at, _kept, _orthogonal_extension, parameter_frames, require_nonreal)
 
 
 def halfplane_to_disk(lam: complex, anchor: complex) -> complex:
@@ -214,15 +214,6 @@ class ResolventModel:
             n = model.inner_dim
             return [x[:n, :n].copy() for x in inverses]
         return cls(model.embeds, ev, at)
-
-
-def _inv_at(point: complex, m: CMatrix, b: CMatrix | None = None) -> CMatrix:
-    """``nk.inv(m)``, or ``nk.solve(m, b)`` when ``b`` is given, for a system set
-    up at a point; a singular one is reported as ``SingularSystem`` at that point."""
-    try:
-        return nk.inv(m) if b is None else nk.solve(m, b)
-    except Singular as exc:
-        raise SingularSystem(point, exc.smallest_sv) from exc
 
 
 def _disk_resolvent(n: int, zeta: complex, boundary_ok: bool,
@@ -561,30 +552,15 @@ def defect_block_family(r: ResolventModel, a: SymmetricOp, anchor: complex) -> C
 def characteristic_function(a: SymmetricOp, anchor: complex, lam: complex) -> CMatrix:
     """The contraction-valued function encoding a symmetric operator.
 
-    Computed through the skew projection onto the defect space at the anchor
-    parallel to the shifted range at lam, scaled by the fractional factor.
-    The norm never exceeds the modulus of that factor, and images satisfy the
-    shifted-range membership relation.
+    At lam in the anchor's half-plane it is c K(lam)*, with K the operator's
+    ``_comparison_coords`` at the anchor and c = (lam - z)/(lam - conj(z)):
+    a map from the defect space at conj(z) into the one at z, of norm <= |c|.
     """
     lam, z = complex(lam), complex(anchor)
     require_nonreal(z)
     if lam != z and not same_halfplane(lam, z):
         raise PointExcluded("evaluation point must share the anchor half-plane")
-    n = a.ambient_dim
-    nz, nzbar = (pair.n_space for pair in parameter_frames(a, z))
-    if nz.dim == 0 or nzbar.dim == 0:
-        return np.zeros((nz.dim, nzbar.dim), dtype=np.complex128)
-    # everywhere-defined extension sending f + psi to A f + conj(z) psi
-    raw_dom = np.hstack([a.dom.basis, nz.basis])
-    raw_img = np.hstack([a.action, np.conj(z) * nz.basis])
-    if raw_dom.shape[1] != n:
-        raise NumericalFailure("domain and defect do not span the space")
-    # (A_ext - w) raw_dom = raw_img - w raw_dom, so the skew projection
-    # (A_ext - z)(A_ext - lam)^{-1} is (raw_img - z raw_dom)(raw_img - lam raw_dom)^{-1}
-    skew = (raw_img - z * raw_dom) @ _inv_at(lam, raw_img - lam * raw_dom)
-    # the projection's factor (lam - conj(z))/(z - conj(z)) times the fractional one
-    factor = (lam - z) / (z - np.conj(z))
-    return factor * (nz.basis.conj().T @ skew @ nzbar.basis)
+    return halfplane_to_disk(lam, z) * _comparison_coords(a, z, lam).conj().T
 
 
 def defect_block_via_characteristic(block: BlockParam, exit_op: SymmetricOp, anchor: complex,
@@ -595,10 +571,7 @@ def defect_block_via_characteristic(block: BlockParam, exit_op: SymmetricOp, anc
     t11 + t12 (E - C_e t22)^{-1} C_e t21 with C_e the characteristic function
     of the exit operator.
     """
-    c_e = characteristic_function(exit_op, anchor, lam)
-    m_src = c_e.shape[0]
-    core = np.eye(m_src) - c_e @ block.t22
-    return block.t11 + block.t12 @ nk.solve(core, c_e @ block.t21)
+    return _closed_block(block, characteristic_function(exit_op, anchor, lam))
 
 
 def membership_quantity(values: CMatrix, lam: complex) -> np.ndarray:

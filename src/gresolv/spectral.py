@@ -18,9 +18,9 @@ from .errors import (NotRegularType, NumericalFailure, PointExcluded, Preconditi
                      SingularSystem)
 from .extensions import ExitSpaceModel, PartialMap, _neumann_extension
 from .numkernel import CMatrix, Subspace
-from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp, _direct_sum,
-                        _memoized, _orthogonal_extension, defect_subspaces, is_regular_type,
-                        parameter_frames, range_frame, require_nonreal)
+from .operators import (DefectPair, IsometryOp, PartialOperator, SymmetricOp, _comparison_coords,
+                        _direct_sum, _memoized, _orthogonal_extension, defect_subspaces,
+                        is_regular_type, parameter_frames, range_frame, require_nonreal)
 from .resolvents import ContractionParam, ResolventModel
 
 #: margins below this flag a spectral obstruction; defects above it break unitarity
@@ -144,13 +144,6 @@ class _Side:
     1/zeta.  The line side holds a symmetric operator anchored at a non-real
     z: the atom location t is probed at lam = t itself.  ``src`` and ``dst``
     are the parameter frames at the anchor and at its partner point.
-
-    The raw defect matrix at a probe point p is R(p) = P0 - p P1, with
-    (P0, P1) = (D, action) on the circle and (action, D) on the line: the
-    shifted range at p is its range, and the defect space at p the kernel of
-    R(p)*.  ``blocks`` holds what the comparison map needs of the operator
-    and the anchor, with M and S the m- and n-frames at the anchor and T the
-    n-frame at the partner: (P0* M, P1* M, P0* S, P1* S, T* S, T* M).
     """
 
     kind: str  # 'circle' | 'line'
@@ -158,7 +151,6 @@ class _Side:
     anchor: complex
     src: DefectPair
     dst: DefectPair
-    blocks: tuple
 
     @classmethod
     def of(cls, op: PartialOperator, anchor: complex) -> "_Side":
@@ -169,12 +161,7 @@ class _Side:
             kind = "line"
         else:
             raise TypeError("gap reports need an isometric or symmetric operator")
-        src, dst = parameter_frames(op, anchor)
-        p0, p1 = (op.dom.basis, op.action) if kind == "circle" else (op.action, op.dom.basis)
-        m, s = src.m_space.basis, src.n_space.basis
-        t_m, t_s = (dst.n_space.basis.conj().T @ frame for frame in (m, s))
-        p0_m, p1_m, p0_s, p1_s = (p.conj().T @ frame for frame in (m, s) for p in (p0, p1))
-        return cls(kind, op, anchor, src, dst, (p0_m, p1_m, p0_s, p1_s, t_s, t_m))
+        return cls(kind, op, anchor, *parameter_frames(op, anchor))
 
     def point(self, x: float) -> complex:
         """Resolvent-side point whose obstruction sits at the atom location x."""
@@ -230,18 +217,10 @@ class _Side:
 def _anchored_gap_map(side: _Side, lam: complex) -> CMatrix:
     """Coordinates of the comparison map between the parameter frames of a side.
 
-    The map sends the shadow S* v of a lam-defect vector v to its shadow T* v,
-    scaled by the side's factor.  Writing v = S c + M w, v is a lam-defect
-    vector exactly when R(lam)* v = 0, that is K w = -L c with K = R(lam)* M
-    and L = R(lam)* S.  So the coordinates are f(lam) [T* S - T* M K^-1 L],
-    from the side's blocks and one d x d inverse.
+    It is f(lam) K(lam): the side's factor times the operator's
+    ``_comparison_coords`` at its anchor, which must pass the isometry gate.
     """
-    p0_m, p1_m, p0_s, p1_s, t_s, t_m = side.blocks
-    coords = t_s
-    if p0_m.size:
-        conj = np.conj(lam)
-        coords = t_s - t_m @ (nk.inv(p0_m - conj * p1_m) @ (p0_s - conj * p1_s))
-    coords = side.factor(lam) * coords
+    coords = side.factor(lam) * _comparison_coords(side.op, side.anchor, lam)
     if coords.shape[1] and not nk.is_isometric(coords, nk.BUILT_GATE):
         raise NumericalFailure("comparison map lost its isometry")
     return coords

@@ -8,6 +8,7 @@ import gresolv.numkernel as nk
 from gresolv.extensions import (assemble_block_map, block_param_from_map,
                                 exit_frames, forbidden_lift, neumann_parameter)
 from gresolv.fixtures import flip_dilation_symmetric, partial_identity_symmetric
+from gresolv.operators import INFINITY, _comparison_coords
 from tests.conftest import fixed_point_free, near_identity, random_symmetric_model
 
 
@@ -62,6 +63,21 @@ def test_forbidden_lift_reconstruction(rng):
             src, dst = defects(a, z)
             np.testing.assert_allclose(nk.projector(src) @ h, x.src.basis @ psi_c, atol=1e-9)
             np.testing.assert_allclose(nk.projector(dst) @ h, x.matrix @ psi_c, atol=1e-9)
+
+
+def test_forbidden_operator_is_the_comparison_map_at_infinity(rng):
+    # compressed_parameter reads the exit forbidden operator as K(INFINITY);
+    # forbidden_operator keeps its own construction, so this is a check
+    worst = 0.0
+    for _ in range(40):
+        n = int(rng.integers(1, 17))
+        a = g.SymmetricOp.random(n, int(rng.integers(0, n + 1)), rng)
+        z = complex(rng.standard_normal(), rng.choice([-1.0, 1.0]) * (0.1 + 3.0 * rng.random()))
+        src, dst = defects(a, z)
+        x = dst.basis.conj().T @ g.forbidden_operator(a, z).ambient() @ src.basis
+        k_inf = _comparison_coords(a, z, INFINITY)
+        worst = max(worst, nk.op_norm(x - k_inf) / max(1.0, nk.op_norm(x)))
+    assert worst < 1e-12, worst
 
 
 def test_admissibility_on_fixture():

@@ -1,8 +1,9 @@
 """Numerical guards on valid inputs.
 
 Each guard left in ``src/`` fires on the seeded input here: an anchor or a
-probe next to the operator's own spectrum on the real line, where the
-quantity the guard tests is exact only in exact arithmetic.
+probe next to the operator's own spectrum on the real line, or a parameter
+next to the forbidden operator, where the quantity the guard tests is exact
+only in exact arithmetic.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 import gresolv as g
 import gresolv.numkernel as nk
 from gresolv import cli
-from gresolv.errors import NumericalFailure, PreconditionViolated
+from gresolv.errors import NumericalFailure, PreconditionViolated, SingularSystem
 from gresolv.extensions import forbidden_lift
 from gresolv.fixtures import partial_identity_symmetric
 from gresolv.operators import parameter_frames
@@ -49,6 +50,21 @@ def _gap_near_eigenvalue(seed, scale, which):
     return g.gap_report(a, param, 1j, g.ArcSpec("line", x0 - 1e-3, x0 + 1e-3), 1)
 
 
+def _near_collision_extension(seed):
+    """``neumann_extension`` of ``SymmetricOp.random(n, d, default_rng(seed))`` at
+    z = i, with n and d drawn first, for the parameter X exp(1e-6 i H / ||H||):
+    X the forbidden operator's coordinates, H a Hermitian drawn next."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    a = g.SymmetricOp.random(n, int(rng.integers(1, n)), rng)
+    src, dst = (pair.n_space for pair in parameter_frames(a, 1j))
+    x = dst.basis.conj().T @ g.forbidden_operator(a, 1j).ambient() @ src.basis
+    h = rng.standard_normal((src.dim, src.dim)) + 1j * rng.standard_normal((src.dim, src.dim))
+    w, v = np.linalg.eigh((h + h.conj().T) / nk.op_norm(h + h.conj().T))
+    turn = v @ np.diag(np.exp(1e-6j * w)) @ v.conj().T
+    return g.neumann_extension(a, 1j, g.PartialMap.from_coords(src, dst, x @ turn))
+
+
 #: guard -> (call on a valid input, error, message)
 FIRING = {
     # the domain complement's shadow in the defect space loses rank as the
@@ -73,6 +89,15 @@ FIRING = {
     "range-covering": (
         lambda: _gap_near_eigenvalue(3, 1e-8, 1),
         PreconditionViolated, "range covering fails at 0.71426"),
+    # the comparison map's d x d inverse at the lowest eigenvalue of G
+    "comparison-map-singular": (
+        lambda: _gap_near_eigenvalue(3, 1e-8, 0),
+        SingularSystem, r"resolvent system singular at point \(-1.38634938"),
+    # an admissible parameter 1e-6 from the forbidden operator: the extension
+    # has norm 1e9, and the parameter read back from it misses by 2e-8
+    "neumann-reassembly": (
+        lambda: _near_collision_extension(2),
+        NumericalFailure, "defect vectors do not lie in the shifted range"),
 }
 
 

@@ -1,7 +1,8 @@
-"""Anchor-level values (defect frames, forbidden operator, forward transforms,
-and the Neumann formula's arrays per parameter source frame) are built once per
-(operator, anchor, policy in force), shared read-only, and equal bit for bit to
-a fresh build; a formula point decides its parameter value's contraction once.
+"""Anchor-level values (defect frames, comparison blocks, forbidden operator,
+forward transforms, and the Neumann formula's arrays per parameter source
+frame) are built once per (operator, anchor, policy in force), shared
+read-only, and equal bit for bit to a fresh build; a formula point decides its
+parameter value's contraction once.
 The dilation oracle's point values and the defect-block family's blocks are kept
 per (point, policy in force) on the model or family that computed them, never
 across ops."""
@@ -11,7 +12,7 @@ import pytest
 
 import gresolv as g
 import gresolv.numkernel as nk
-from gresolv import operators, resolvents
+from gresolv import cli, operators, resolvents
 from gresolv.resolvents import (DEFAULT_DISK_SAMPLES, DEFAULT_HALFPLANE_SAMPLES,
                                 defect_block_family)
 from gresolv.fixtures import flip_dilation_isometric
@@ -149,6 +150,28 @@ def test_failed_build_is_not_stored():
     value = operators._memoized(op, "probe", 1j, build)
     assert operators._memoized(op, "probe", 1j, build) is value
     assert attempts == [0, 1]
+
+
+def test_verify_forms_the_comparison_blocks_once_per_operator_and_anchor(tmp_path,
+                                                                          monkeypatch):
+    built = []
+
+    def spy(op, what, point, build, _real=operators._memoized):
+        def counted():
+            built.append((type(op).__name__, op.ambient_dim, op.dom.dim, point))
+            return build()
+        return _real(op, what, point, counted if what == "blocks" else build)
+    monkeypatch.setattr(operators, "_memoized", spy)
+    # the symmetric file's operator at its anchor, and the null exit operator
+    # whose characteristic function ``limits`` reads along its ray
+    expected = {"symmetric": [("SymmetricOp", 4, 2, 1j), ("SymmetricOp", 2, 0, 1j)],
+                "isometric": [("IsometryOp", 4, 2, 0.0)]}
+    for kind, blocks in expected.items():
+        path = tmp_path / f"{kind}.json"
+        cli.save_instance(cli.generate_instance(kind, 4, 2, 2, seed=8), path)
+        built.clear()
+        assert cli.main(["verify", str(path), "--suite", "all"]) == 0
+        assert built == blocks
 
 
 def _neumann_entries(op):

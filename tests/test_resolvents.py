@@ -661,7 +661,8 @@ def test_characteristic_takes_one_inverse_per_point(rng, monkeypatch):
     worst = 0.0
     for _ in range(40):
         n = int(rng.integers(2, 17))
-        a = g.SymmetricOp.random(n, int(rng.integers(0, n)), rng)
+        d = int(rng.integers(0, n))
+        a = g.SymmetricOp.random(n, d, rng)
         anchor = complex(rng.standard_normal(), rng.choice([-1.0, 1.0]) * (0.3 + rng.random()))
         parameter_frames(a, anchor)
         for _ in range(3):
@@ -670,7 +671,7 @@ def test_characteristic_takes_one_inverse_per_point(rng, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(nk, "inv", inv)
                 value = g.characteristic_function(a, anchor, lam)
-            assert calls == [(n, n)]
+            assert calls == ([(d, d)] if d else [])
             calls.clear()
             expected = _characteristic_by_two_inverses(a, anchor, lam)
             worst = max(worst, nk.op_norm(value - expected) / nk.op_norm(expected))
